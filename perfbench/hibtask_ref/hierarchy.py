@@ -1,0 +1,272 @@
+"""Task hierarchies, scene primitives, and the embedding-derived conditionals
+that feed the solver."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+
+import numpy as np
+
+from .errors import DimensionError, StructuralError, ValidationError
+from .geometry import Box
+from .probability import CondTable, chain
+
+KIND_TASK = "task"
+KIND_SUBTASK = "subtask"
+KIND_ITEM = "item"
+KINDS = (KIND_TASK, KIND_SUBTASK, KIND_ITEM)
+_CHILD_KIND = {KIND_TASK: KIND_SUBTASK, KIND_SUBTASK: KIND_ITEM}
+
+EMBED_NORM_TOL = 1e-6
+
+
+def _unit_embedding(vec, what: str) -> np.ndarray:
+    arr = np.array(vec, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValidationError(f"{what}: embedding must be a nonempty vector")
+    norm = float(np.linalg.norm(arr))
+    if norm == 0:
+        raise ValidationError(f"{what}: zero embedding (cosine undefined)")
+    if abs(norm - 1.0) > EMBED_NORM_TOL:
+        raise ValidationError(f"{what}: embedding norm {norm!r} is not 1")
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True)
+class Spatial:
+    """Grounded position and influence radius of a task entity."""
+
+    position: tuple[float, float, float]
+    radius: float
+
+    def __post_init__(self):
+        pos = tuple(float(v) for v in self.position)
+        if len(pos) != 3:
+            raise ValidationError("spatial position must be a 3-vector")
+        if self.radius <= 0:
+            raise ValidationError("spatial radius must be positive")
+        object.__setattr__(self, "position", pos)
+        object.__setattr__(self, "radius", float(self.radius))
+
+
+@dataclass(frozen=True)
+class TaskEntity:
+    id: str
+    kind: str
+    text: str
+    embedding: np.ndarray | None = None
+    spatial: Spatial | None = None
+    children: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValidationError(f"unknown entity kind {self.kind!r}")
+        if self.kind == KIND_ITEM and self.children:
+            raise StructuralError(f"item {self.id!r} cannot have children")
+        if self.embedding is not None:
+            object.__setattr__(
+                self, "embedding", _unit_embedding(self.embedding, f"entity {self.id!r}")
+            )
+        object.__setattr__(self, "children", tuple(self.children))
+
+
+@dataclass(frozen=True)
+class Primitive:
+    """A 3D-boxed, embedding-bearing leaf segment of the scene."""
+
+    id: str
+    centroid: tuple[float, float, float]
+    bbox: Box
+    embedding: np.ndarray
+
+    def __post_init__(self):
+        centroid = tuple(float(v) for v in self.centroid)
+        if len(centroid) != 3:
+            raise ValidationError(f"primitive {self.id!r}: centroid must be 3-vector")
+        object.__setattr__(self, "centroid", centroid)
+        object.__setattr__(
+            self, "embedding", _unit_embedding(self.embedding, f"primitive {self.id!r}")
+        )
+
+
+class TaskHierarchy:
+    """Tree of tasks, subtasks and items, with one distinguished null task.
+
+    Entity enumeration (for conditional tables and graph alignment) is
+    document order: real roots first, the null task's subtree last.  The
+    null task is optional so purely tabular problems can still carry a
+    hierarchy for labeling.
+    """
+
+    def __init__(self, entities, roots, null_task_id: str | None = None):
+        self.entities: dict[str, TaskEntity] = dict(entities)
+        self.roots: tuple[str, ...] = tuple(roots)
+        self.null_task_id = null_task_id
+        self._validate()
+
+    def _validate(self):
+        parents: dict[str, str] = {}
+        for eid, ent in self.entities.items():
+            if ent.id != eid:
+                raise StructuralError(f"entity key {eid!r} does not match id {ent.id!r}")
+            for child in ent.children:
+                if child not in self.entities:
+                    raise StructuralError(f"{eid!r} references missing child {child!r}")
+                if child in parents:
+                    raise StructuralError(f"{child!r} has more than one parent")
+                parents[child] = eid
+                expected = _CHILD_KIND.get(ent.kind)
+                if self.entities[child].kind != expected:
+                    raise StructuralError(
+                        f"{eid!r} ({ent.kind}) cannot parent "
+                        f"{child!r} ({self.entities[child].kind})"
+                    )
+        for rid in self.all_roots():
+            if rid not in self.entities:
+                raise StructuralError(f"missing root {rid!r}")
+            if self.entities[rid].kind != KIND_TASK:
+                raise StructuralError(f"root {rid!r} is not a task")
+            if rid in parents:
+                raise StructuralError(f"root {rid!r} also appears as a child")
+        if self.null_task_id is not None and self.null_task_id not in self.entities:
+            raise StructuralError(f"missing null task {self.null_task_id!r}")
+        # every non-root must be reachable exactly once (acyclicity)
+        seen: set[str] = set()
+        stack = list(self.all_roots())
+        while stack:
+            eid = stack.pop()
+            if eid in seen:
+                raise StructuralError(f"cycle or shared subtree at {eid!r}")
+            seen.add(eid)
+            stack.extend(self.entities[eid].children)
+        orphans = set(self.entities) - seen
+        if orphans:
+            raise StructuralError(f"orphaned entities: {sorted(orphans)}")
+
+    def all_roots(self) -> tuple[str, ...]:
+        if self.null_task_id is not None and self.null_task_id not in self.roots:
+            return self.roots + (self.null_task_id,)
+        return self.roots
+
+    def parent_of(self, eid: str) -> str | None:
+        for pid, ent in self.entities.items():
+            if eid in ent.children:
+                return pid
+        return None
+
+    def entities_of_kind(self, kind: str) -> tuple[TaskEntity, ...]:
+        """Document order; the null task's subtree comes last."""
+        out = []
+
+        def walk(eid):
+            ent = self.entities[eid]
+            if ent.kind == kind:
+                out.append(ent)
+            for child in ent.children:
+                walk(child)
+
+        for rid in self.all_roots():
+            walk(rid)
+        return tuple(out)
+
+    def index_of(self, eid: str) -> int:
+        ent = self.entities[eid]
+        ordered = self.entities_of_kind(ent.kind)
+        for i, e in enumerate(ordered):
+            if e.id == eid:
+                return i
+        raise StructuralError(f"entity {eid!r} not reachable from roots")
+
+    def null_descendants(self) -> frozenset[str]:
+        if self.null_task_id is None:
+            return frozenset()
+        out: set[str] = set()
+        stack = [self.null_task_id]
+        while stack:
+            eid = stack.pop()
+            out.add(eid)
+            stack.extend(self.entities[eid].children)
+        return frozenset(out)
+
+    def with_entity(self, entity: TaskEntity) -> "TaskHierarchy":
+        entities = dict(self.entities)
+        entities[entity.id] = entity
+        return TaskHierarchy(entities, self.roots, self.null_task_id)
+
+    def with_child(self, parent_id: str, child: TaskEntity) -> "TaskHierarchy":
+        entities = dict(self.entities)
+        entities[child.id] = child
+        parent = entities[parent_id]
+        entities[parent_id] = replace(parent, children=parent.children + (child.id,))
+        return TaskHierarchy(entities, self.roots, self.null_task_id)
+
+
+def cosine_matrix(primitives, entities) -> np.ndarray:
+    """Entry (i, j) = cosine(entity_i, primitive_j); embeddings are unit-norm."""
+    if not primitives or not entities:
+        raise DimensionError("cosine matrix needs at least one primitive and entity")
+    emb_e = np.stack([e.embedding for e in entities])
+    emb_p = np.stack([p.embedding for p in primitives])
+    if emb_e.shape[1] != emb_p.shape[1]:
+        raise DimensionError(
+            f"embedding dims differ: {emb_e.shape[1]} vs {emb_p.shape[1]}"
+        )
+    return emb_e @ emb_p.T
+
+
+def embedding_conditional(primitives, items, temperature: float = 1.0) -> CondTable:
+    """P(T_1 | S_0): per primitive, a softmax over item cosine similarities."""
+    if temperature <= 0:
+        raise ValidationError("temperature must be positive")
+    for item in items:
+        if item.embedding is None:
+            raise ValidationError(f"item {item.id!r} has no embedding")
+    scores = cosine_matrix(primitives, items) / temperature
+    scores -= scores.max(axis=0, keepdims=True)
+    weights = np.exp(scores)
+    table = weights / weights.sum(axis=0, keepdims=True)
+    return CondTable(
+        table,
+        tuple(e.id for e in items),
+        tuple(p.id for p in primitives),
+    )
+
+
+def lift_conditional(lower: CondTable, step: CondTable) -> CondTable:
+    """P(T_{k+1} | S_0) = P(T_{k+1} | T_k) o P(T_k | S_0)."""
+    return chain(step, lower)
+
+
+def hierarchy_step_conditional(
+    hierarchy: TaskHierarchy, from_kind: str, to_kind: str, weighting: str = "hard"
+) -> CondTable:
+    """P(parent | child) from tree membership: one-hot on the tree parent."""
+    if weighting != "hard":
+        raise ValidationError(f"unsupported membership weighting {weighting!r}")
+    if _CHILD_KIND.get(to_kind) != from_kind:
+        raise ValidationError(f"no parent step from {from_kind!r} to {to_kind!r}")
+    children = hierarchy.entities_of_kind(from_kind)
+    parents = hierarchy.entities_of_kind(to_kind)
+    parent_index = {e.id: i for i, e in enumerate(parents)}
+    table = np.zeros((len(parents), len(children)))
+    for j, child in enumerate(children):
+        pid = hierarchy.parent_of(child.id)
+        if pid is None:
+            raise StructuralError(f"{child.id!r} has no parent")
+        table[parent_index[pid], j] = 1.0
+    return CondTable(
+        table, tuple(e.id for e in parents), tuple(e.id for e in children)
+    )
+
+
+def select_relevant_primitives(primitives, items, threshold: float = 0.8):
+    """Primitives whose best item cosine similarity strictly exceeds threshold."""
+    if not -1.0 < threshold <= 1.0:
+        raise ValidationError("threshold must lie in (-1, 1]")
+    primitives = list(primitives)
+    items = [e for e in items if e.embedding is not None]
+    if not primitives or not items:
+        return []
+    best = cosine_matrix(primitives, items).max(axis=0)
+    return [p for p, score in zip(primitives, best) if score > threshold]

@@ -1,0 +1,522 @@
+"""Task update: spatial grounding of task entities, spatially-informed
+conditionals, word suggestions for unmatched primitives, oracle-driven
+hierarchy refinement, and the alternating pipeline tying it all together."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field, replace
+from typing import Protocol
+
+import numpy as np
+
+from .errors import (
+    DegenerateColumnError,
+    DimensionError,
+    RefinementError,
+    StructuralError,
+    ValidationError,
+)
+from .geometry import union_box
+from .hierarchy import (
+    KIND_ITEM,
+    KIND_SUBTASK,
+    KIND_TASK,
+    Primitive,
+    Spatial,
+    TaskEntity,
+    TaskHierarchy,
+    embedding_conditional,
+    hierarchy_step_conditional,
+    lift_conditional,
+    select_relevant_primitives,
+    _unit_embedding,
+)
+from .probability import CondTable, Dist
+from .scene_graph import (
+    SceneGraph,
+    bottom_up_construct,
+    prune_primitives,
+    top_down_prune,
+)
+from .solver import HibProblem, SolveOptions, SolveReport, solve_hib
+
+# fallback radius when a grounded task/subtask has no grounded neighbor:
+# scene bounding-box diagonal divided by this
+FALLBACK_RADIUS_DIVISOR = 10.0
+
+
+class RefinementOracle(Protocol):
+    """Scoring contract used during hierarchy refinement.
+
+    Implementations must be deterministic for fixed inputs.  The request and
+    response payloads are plain data so a remote adapter can implement the
+    same contract without touching the pipeline.
+    """
+
+    def score_items(self, context_text: str, item_texts: list[str]) -> list[float]:
+        """Relevance in [0, 1] of each item for the given subtask or task."""
+        ...
+
+    def propose_subtasks(
+        self, task_text: str, item_texts: list[str]
+    ) -> list[tuple[str, list[str]]]:
+        """New (subtask text, item texts) steps using only the given items."""
+        ...
+
+
+@dataclass(frozen=True)
+class TableOracle:
+    """Deterministic lookup-table oracle for tests and fixtures.
+
+    scores maps (context text, item text) to a relevance score, defaulting
+    to 0.  proposals maps a task text to the steps to add when asked.
+    """
+
+    scores: dict[tuple[str, str], float] = field(default_factory=dict)
+    proposals: dict[str, tuple[tuple[str, tuple[str, ...]], ...]] = field(
+        default_factory=dict
+    )
+
+    def score_items(self, context_text: str, item_texts: list[str]) -> list[float]:
+        out = []
+        for text in item_texts:
+            score = float(self.scores.get((context_text, text), 0.0))
+            if not 0.0 <= score <= 1.0:
+                raise RefinementError(
+                    f"score_items({context_text!r}, {text!r})",
+                    f"score {score!r} outside [0, 1]",
+                )
+            out.append(score)
+        return out
+
+    def propose_subtasks(self, task_text: str, item_texts: list[str]):
+        allowed = set(item_texts)
+        steps = []
+        for text, items in self.proposals.get(task_text, ()):
+            kept = tuple(i for i in items if i in allowed)
+            if kept:
+                steps.append((text, list(kept)))
+        return steps
+
+
+@dataclass(frozen=True)
+class WordBank:
+    """LLM-generated vocabulary of item words with embeddings."""
+
+    entries: tuple[tuple[str, np.ndarray], ...]
+
+    def __post_init__(self):
+        entries = tuple(
+            (str(w), _unit_embedding(e, f"word {w!r}")) for w, e in self.entries
+        )
+        if not entries:
+            raise ValidationError("word bank cannot be empty")
+        words = [w for w, _ in entries]
+        if len(set(words)) != len(words):
+            raise ValidationError("word bank words must be unique")
+        object.__setattr__(self, "entries", entries)
+
+    def embedding_of(self, word: str) -> np.ndarray:
+        for w, e in self.entries:
+            if w == word:
+                return e
+        raise KeyError(word)
+
+
+def _scene_box(primitives):
+    return union_box([p.bbox for p in primitives])
+
+
+def spatial_update(
+    graph: SceneGraph, hierarchy: TaskHierarchy, primitives
+) -> TaskHierarchy:
+    """Ground aligned task entities with position and radius.
+
+    Position is the centroid of the aligned node.  Radius is the distance
+    to the nearest grounded entity of the same kind for tasks and subtasks
+    (scene-diagonal/10 when none exists), and the norm of the node's box
+    extents for items.  Unaligned entities keep no spatial attribute.
+    """
+    primitives = list(primitives)
+    fallback = (
+        _scene_box(primitives).diagonal / FALLBACK_RADIUS_DIVISOR
+        if primitives
+        else 1.0
+    )
+    positions: dict[str, np.ndarray] = {}
+    boxes = {}
+    for node in graph.nodes.values():
+        if node.entity_id is None or node.centroid is None:
+            continue
+        # after pruning, at most one node per entity remains
+        positions[node.entity_id] = np.asarray(node.centroid)
+        boxes[node.entity_id] = node.bbox
+
+    out = hierarchy
+    for kind in (KIND_TASK, KIND_SUBTASK, KIND_ITEM):
+        grounded = [
+            e for e in hierarchy.entities_of_kind(kind) if e.id in positions
+        ]
+        for ent in grounded:
+            pos = positions[ent.id]
+            if kind == KIND_ITEM:
+                radius = float(np.linalg.norm(boxes[ent.id].extents))
+                if radius <= 0:
+                    radius = fallback
+            else:
+                neighbors = [
+                    np.linalg.norm(positions[other.id] - pos)
+                    for other in grounded
+                    if other.id != ent.id
+                ]
+                radius = float(min(neighbors)) if neighbors else fallback
+                if radius <= 0:
+                    radius = fallback
+            out = out.with_entity(
+                replace(
+                    out.entities[ent.id],
+                    spatial=Spatial(tuple(pos), radius),
+                )
+            )
+    return out
+
+
+def spatial_conditional(primitive: Primitive, entity: TaskEntity) -> float:
+    """Pre-normalization spatial weight of a primitive for a grounded entity:
+    1 inside the radius, exp(-(d - r)^2 / r^2) beyond it."""
+    if entity.spatial is None:
+        raise ValidationError(f"entity {entity.id!r} has no spatial attribute")
+    r = entity.spatial.radius
+    if r <= 0:
+        raise ValidationError(f"entity {entity.id!r} has nonpositive radius")
+    d = float(
+        np.linalg.norm(np.asarray(primitive.centroid) - np.asarray(entity.spatial.position))
+    )
+    if d < r:
+        return 1.0
+    return float(np.exp(-((d - r) ** 2) / r**2))
+
+
+def spatial_task_conditional(primitives, entities) -> CondTable:
+    """Spatial P(T | S_0): grounded entities contribute the case weight,
+    ungrounded ones a constant 1; columns are normalized."""
+    primitives = list(primitives)
+    entities = list(entities)
+    if not primitives or not entities:
+        raise DimensionError("spatial conditional needs primitives and entities")
+    table = np.ones((len(entities), len(primitives)))
+    for i, ent in enumerate(entities):
+        if ent.spatial is None:
+            continue
+        for j, prim in enumerate(primitives):
+            table[i, j] = spatial_conditional(prim, ent)
+    table = table / table.sum(axis=0, keepdims=True)
+    return CondTable(
+        table,
+        tuple(e.id for e in entities),
+        tuple(p.id for p in primitives),
+    )
+
+
+def combine_conditionals(p_spatial: CondTable, p_embedding: CondTable) -> CondTable:
+    """Renormalized elementwise product of the spatial and embedding tables."""
+    if p_spatial.matrix.shape != p_embedding.matrix.shape:
+        raise DimensionError(
+            f"shape mismatch: {p_spatial.matrix.shape} vs {p_embedding.matrix.shape}"
+        )
+    product = p_spatial.matrix * p_embedding.matrix
+    sums = product.sum(axis=0)
+    dead = sums <= 0
+    if np.any(dead):
+        raise DegenerateColumnError(1, int(np.argmax(dead)), "all-zero combined column")
+    return CondTable(
+        product / sums, p_embedding.row_labels, p_embedding.col_labels
+    )
+
+
+def suggest_words(unmatched_primitives, word_bank: WordBank, top_k: int = 1):
+    """Top-k bank words per unmatched primitive by cosine, deduplicated and
+    ordered by score descending then lexicographically."""
+    if top_k < 1:
+        raise ValidationError("top_k must be >= 1")
+    scored: dict[str, float] = {}
+    for prim in unmatched_primitives:
+        sims = [
+            (float(np.dot(prim.embedding, emb)), word)
+            for word, emb in word_bank.entries
+        ]
+        sims.sort(key=lambda t: (-t[0], t[1]))
+        for score, word in sims[:top_k]:
+            if word not in scored or score > scored[word]:
+                scored[word] = score
+    return [w for w, _ in sorted(scored.items(), key=lambda t: (-t[1], t[0]))]
+
+
+def _item_texts(hierarchy: TaskHierarchy, task: TaskEntity) -> set[str]:
+    texts = set()
+    for sid in task.children:
+        for iid in hierarchy.entities[sid].children:
+            texts.add(hierarchy.entities[iid].text)
+    return texts
+
+
+def refine_hierarchy(
+    hierarchy: TaskHierarchy,
+    suggestions,
+    oracle: RefinementOracle,
+    r_s: float,
+    r_t: float,
+    word_bank: WordBank,
+) -> TaskHierarchy:
+    """Attach suggested items to subtasks scoring above r_s; leftovers scoring
+    above r_t for the task spawn new subtasks via the oracle.
+
+    Existing entities are never removed; within one task an item text is
+    claimed by the first subtask in document order that wants it.
+    """
+    for threshold in (r_s, r_t):
+        if not 0.0 <= threshold <= 1.0:
+            raise ValidationError("refinement thresholds must lie in [0, 1]")
+    suggestions = list(suggestions)
+    if not suggestions:
+        return hierarchy
+    out = hierarchy
+    null_ids = hierarchy.null_descendants()
+    counter = 0
+
+    def fresh_id(prefix: str) -> str:
+        nonlocal counter
+        counter += 1
+        while f"{prefix}-{counter}" in out.entities:
+            counter += 1
+        return f"{prefix}-{counter}"
+    for task in hierarchy.entities_of_kind(KIND_TASK):
+        if task.id in null_ids:
+            continue
+        present = _item_texts(out, out.entities[task.id])
+        available = [s for s in suggestions if s not in present]
+        if not available:
+            continue
+        claimed: set[str] = set()
+        for sid in out.entities[task.id].children:
+            subtask = out.entities[sid]
+            queries = [s for s in available if s not in claimed]
+            if not queries:
+                break
+            try:
+                scores = oracle.score_items(subtask.text, queries)
+            except RefinementError:
+                raise
+            except Exception as exc:  # noqa: BLE001 - oracle boundary
+                raise RefinementError(f"score_items({subtask.text!r})", str(exc))
+            for text, score in zip(queries, scores):
+                if score > r_s:
+                    item = TaskEntity(
+                        id=fresh_id(f"{sid}/added"),
+                        kind=KIND_ITEM,
+                        text=text,
+                        embedding=word_bank.embedding_of(text),
+                    )
+                    out = out.with_child(sid, item)
+                    claimed.add(text)
+        leftovers = [s for s in available if s not in claimed]
+        if not leftovers:
+            continue
+        try:
+            scores = oracle.score_items(out.entities[task.id].text, leftovers)
+        except RefinementError:
+            raise
+        except Exception as exc:  # noqa: BLE001
+            raise RefinementError(f"score_items({task.text!r})", str(exc))
+        wanted = [t for t, score in zip(leftovers, scores) if score > r_t]
+        if not wanted:
+            continue
+        try:
+            steps = oracle.propose_subtasks(out.entities[task.id].text, wanted)
+        except RefinementError:
+            raise
+        except Exception as exc:  # noqa: BLE001
+            raise RefinementError(f"propose_subtasks({task.text!r})", str(exc))
+        used: set[str] = set()
+        for step_text, step_items in steps:
+            step_items = [t for t in step_items if t in wanted and t not in used]
+            if not step_items:
+                continue
+            new_sid = fresh_id(f"{task.id}/step")
+            out = out.with_child(
+                task.id, TaskEntity(id=new_sid, kind=KIND_SUBTASK, text=step_text)
+            )
+            for text in step_items:
+                out = out.with_child(
+                    new_sid,
+                    TaskEntity(
+                        id=fresh_id(f"{new_sid}/added"),
+                        kind=KIND_ITEM,
+                        text=text,
+                        embedding=word_bank.embedding_of(text),
+                    ),
+                )
+                used.add(text)
+    return out
+
+
+@dataclass(frozen=True)
+class PipelineOptions:
+    rounds: int = 3
+    relevance_threshold: float = 0.8  # primitive selection into S_0
+    r_s: float = 0.8
+    r_t: float = 0.8
+    temperature: float = 1.0
+    top_k_words: int = 1
+    carry_rejected: bool = True  # rejected suggestions persist one round
+    solver: SolveOptions = SolveOptions()
+
+    def __post_init__(self):
+        if self.rounds < 1:
+            raise ValidationError("rounds must be >= 1")
+
+
+@dataclass(frozen=True)
+class RoundReport:
+    round_index: int
+    selected_primitives: int
+    solve: SolveReport
+    node_counts: dict[str, int]
+    grounded_subtasks: int
+    suggestions: tuple[str, ...]
+    hierarchy_changed: bool
+    alignment_changed: bool
+
+
+def derive_problem(
+    hierarchy: TaskHierarchy, primitives, temperature: float = 1.0
+) -> HibProblem:
+    """Three-level problem from embeddings plus tree-membership lifting; the
+    item conditional is combined with spatial weights when any item is
+    grounded."""
+    items = hierarchy.entities_of_kind(KIND_ITEM)
+    p1 = embedding_conditional(primitives, items, temperature)
+    if any(e.spatial is not None for e in items):
+        p_s = spatial_task_conditional(primitives, items)
+        p1 = combine_conditionals(p_s, p1)
+    step12 = hierarchy_step_conditional(hierarchy, KIND_ITEM, KIND_SUBTASK)
+    step23 = hierarchy_step_conditional(hierarchy, KIND_SUBTASK, KIND_TASK)
+    p2 = lift_conditional(p1, step12)
+    p3 = lift_conditional(p2, step23)
+    prior = Dist.uniform(len(list(primitives)))
+    return HibProblem(prior, (p1, p2, p3))
+
+
+def _grounded_subtask_count(hierarchy: TaskHierarchy) -> int:
+    null_ids = hierarchy.null_descendants()
+    return sum(
+        1
+        for e in hierarchy.entities_of_kind(KIND_SUBTASK)
+        if e.spatial is not None and e.id not in null_ids
+    )
+
+
+def run_pipeline(
+    primitives,
+    hierarchy: TaskHierarchy,
+    word_bank: WordBank,
+    oracle: RefinementOracle,
+    opts: PipelineOptions = PipelineOptions(),
+):
+    """Alternate scene-hierarchy updates and task updates.
+
+    Each round selects relevant primitives, solves the hierarchical
+    bottleneck, builds and prunes the scene graph, grounds task entities,
+    and refines the hierarchy from word suggestions.  Stops early when a
+    round changes neither the hierarchy nor the graph alignment.
+
+    Returns (hierarchy, graph, reports).
+    """
+    if hierarchy.null_task_id is None:
+        raise StructuralError("pipeline requires a hierarchy with a null task")
+    primitives = list(primitives)
+    graph = SceneGraph({})
+    reports: list[RoundReport] = []
+    carried: list[str] = []
+    prev_alignment: dict[str, str] | None = None
+    for round_index in range(1, opts.rounds + 1):
+        items = hierarchy.entities_of_kind(KIND_ITEM)
+        selected = select_relevant_primitives(
+            primitives, items, opts.relevance_threshold
+        )
+        if not selected:
+            raise StructuralError(
+                f"round {round_index}: no primitive passes the relevance threshold"
+            )
+        try:
+            problem = derive_problem(hierarchy, selected, opts.temperature)
+            state, solve_report = solve_hib(problem, opts.solver)
+            full = bottom_up_construct(state, hierarchy, selected)
+            graph = prune_primitives(top_down_prune(full))
+        except DegenerateColumnError as exc:
+            raise DegenerateColumnError(
+                exc.level, exc.column, f"pipeline round {round_index}: {exc}"
+            ) from exc
+        except DimensionError as exc:
+            raise DimensionError(f"pipeline round {round_index}: {exc}") from exc
+        new_hierarchy = spatial_update(graph, hierarchy, primitives)
+
+        kept = {
+            n.id.removeprefix("prim:")
+            for n in graph.nodes.values()
+            if n.layer == 0
+        }
+        unmatched = [p for p in selected if p.id not in kept]
+        suggestions = suggest_words(unmatched, word_bank, opts.top_k_words)
+        query = sorted(set(suggestions) | set(carried))
+        refined = refine_hierarchy(
+            new_hierarchy, query, oracle, opts.r_s, opts.r_t, word_bank
+        )
+        accepted = {
+            e.text for e in refined.entities_of_kind(KIND_ITEM)
+        }
+        carried = [w for w in query if w not in accepted] if opts.carry_rejected else []
+
+        alignment = graph.alignment()
+        hierarchy_changed = _hierarchy_fingerprint(refined) != _hierarchy_fingerprint(
+            hierarchy
+        )
+        alignment_changed = prev_alignment is None or alignment != prev_alignment
+        reports.append(
+            RoundReport(
+                round_index=round_index,
+                selected_primitives=len(selected),
+                solve=solve_report,
+                node_counts={
+                    name: len(graph.layer_nodes(layer))
+                    for layer, name in (
+                        (0, "primitives"),
+                        (1, "items"),
+                        (2, "subtasks"),
+                        (3, "tasks"),
+                    )
+                },
+                grounded_subtasks=_grounded_subtask_count(refined),
+                suggestions=tuple(query),
+                hierarchy_changed=hierarchy_changed,
+                alignment_changed=alignment_changed,
+            )
+        )
+        hierarchy = refined
+        prev_alignment = alignment
+        if not hierarchy_changed and not alignment_changed:
+            break
+    return hierarchy, graph, reports
+
+
+def _hierarchy_fingerprint(hierarchy: TaskHierarchy):
+    return tuple(
+        (
+            e.id,
+            e.kind,
+            e.text,
+            e.children,
+            None if e.spatial is None else (e.spatial.position, e.spatial.radius),
+        )
+        for e in hierarchy.entities.values()
+    )
