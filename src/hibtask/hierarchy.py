@@ -170,14 +170,6 @@ class TaskHierarchy:
             walk(rid)
         return tuple(out)
 
-    def index_of(self, eid: str) -> int:
-        ent = self.entities[eid]
-        ordered = self.entities_of_kind(ent.kind)
-        for i, e in enumerate(ordered):
-            if e.id == eid:
-                return i
-        raise StructuralError(f"entity {eid!r} not reachable from roots")
-
     def null_descendants(self) -> frozenset[str]:
         if self.null_task_id is None:
             return frozenset()
@@ -239,11 +231,9 @@ def lift_conditional(lower: CondTable, step: CondTable) -> CondTable:
 
 
 def hierarchy_step_conditional(
-    hierarchy: TaskHierarchy, from_kind: str, to_kind: str, weighting: str = "hard"
+    hierarchy: TaskHierarchy, from_kind: str, to_kind: str
 ) -> CondTable:
     """P(parent | child) from tree membership: one-hot on the tree parent."""
-    if weighting != "hard":
-        raise ValidationError(f"unsupported membership weighting {weighting!r}")
     if _CHILD_KIND.get(to_kind) != from_kind:
         raise ValidationError(f"no parent step from {from_kind!r} to {to_kind!r}")
     children = hierarchy.entities_of_kind(from_kind)

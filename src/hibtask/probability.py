@@ -54,6 +54,8 @@ class Dist:
             raise ValidationError(f"Dist expects a vector, got shape {values.shape}")
         if values.size == 0:
             raise ValidationError("Dist cannot be empty")
+        if not np.all(np.isfinite(values)):
+            raise ValidationError("Dist entries must be finite")
         if np.any(values < 0):
             raise ValidationError("Dist entries must be nonnegative")
         if abs(float(values.sum()) - 1.0) > NORMALIZATION_TOL:
@@ -93,6 +95,8 @@ class CondTable:
             raise ValidationError(f"CondTable expects a matrix, got shape {matrix.shape}")
         if matrix.size == 0:
             raise ValidationError("CondTable cannot be empty")
+        if not np.all(np.isfinite(matrix)):
+            raise ValidationError("CondTable entries must be finite")
         if np.any(matrix < 0):
             raise ValidationError("CondTable entries must be nonnegative")
         sums = matrix.sum(axis=0)
@@ -171,8 +175,10 @@ def kl_divergence_matrix(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     logq[qpos] = np.log(q[qpos])
     cross = p.T @ logq  # (a, b); wrong where inf belongs, fixed below
     out = plogp[:, None] - cross
-    infeasible = (p > 0).T.astype(float) @ (q == 0).astype(float) > 0
-    out[infeasible] = np.inf
+    qzero = q == 0
+    if np.any(qzero):
+        infeasible = (p > 0).T.astype(float) @ qzero.astype(float) > 0
+        out[infeasible] = np.inf
     return np.maximum(out, 0.0)
 
 
@@ -191,18 +197,34 @@ def mutual_information(cond: CondTable, py: Dist) -> float:
         raise DimensionError(
             f"mutual information: {cond.n_cols} columns vs |py| = {len(py)}"
         )
-    m = cond.matrix
-    w = py.values
+    return _mutual_information(cond.matrix, py.values)
+
+
+def _mutual_information(m: np.ndarray, w: np.ndarray) -> float:
+    """mutual_information on raw arrays.
+
+    Column y contributes p(y) * sum_x P(x|y) log(P(x|y) / p(x)) over the x
+    with P(x|y) > 0 and p(x) > 0 (p(x) == 0 alongside P(x|y) > 0 only
+    happens when the joint underflowed; its exact contribution is zero
+    either way), and the contributions of the columns with p(y) != 0 are
+    added in column order.  Columns with the same number of kept entries
+    are packed into the rows of one contiguous array, so each row sum runs
+    numpy's pairwise summation over exactly the entries of a per-column
+    sum: the result is bit-identical to a loop over the columns.
+    """
     px = m @ w
-    total = 0.0
-    for j in range(m.shape[1]):
-        if w[j] == 0:
-            continue
-        col = m[:, j]
-        # px == 0 alongside col > 0 only happens when the joint underflowed;
-        # its exact contribution is zero either way
-        mask = (col > 0) & (px > 0)
-        total += w[j] * float(np.sum(col[mask] * np.log(col[mask] / px[mask])))
+    live = w != 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.ascontiguousarray((m * np.log(m / px[:, None])).T)
+    kept = ((m > 0) & (px[:, None] > 0)).T
+    counts = kept.sum(axis=1)
+    sums = np.zeros(m.shape[1])
+    # a set, not np.unique: its first call costs about 1.5 MB of resident memory
+    for count in set(counts[live].tolist()):
+        rows = live & (counts == count)
+        packed = terms[rows][kept[rows]].reshape(int(rows.sum()), count)
+        sums[rows] = packed.sum(axis=1)
+    total = np.cumsum(np.append(0.0, w[live] * sums[live]))[-1]
     return max(total, 0.0)
 
 
@@ -247,12 +269,17 @@ def bayes_invert(cond: CondTable, py: Dist, px: Dist | None = None) -> CondTable
         if np.max(np.abs(px.values - implied)) > NORMALIZATION_TOL:
             raise ValidationError("bayes_invert: px is not the marginal of (cond, py)")
         pxv = px.values
-    joint = cond.matrix * py.values[None, :]  # (x, y)
+    out = _bayes_matrix(cond.matrix, py.values, pxv)
+    return CondTable(out, cond.col_labels, cond.row_labels)
+
+
+def _bayes_matrix(m: np.ndarray, py: np.ndarray, pxv: np.ndarray) -> np.ndarray:
+    """bayes_invert on raw arrays, with pxv the marginal of (m, py)."""
+    joint = m * py[None, :]  # (x, y)
     out = joint.T.astype(float)  # (y, x)
     zero = pxv <= 0
     safe = np.where(zero, 1.0, pxv)
     out = out / safe[None, :]
     if np.any(zero):
         out[:, zero] = 1.0 / out.shape[0]
-    out = _fix_column_drift(out)
-    return CondTable(out, cond.col_labels, cond.row_labels)
+    return _fix_column_drift(out)

@@ -10,6 +10,15 @@ decoder refresh.  One outer iteration is a full bottom-up sweep over the
 levels; marginals, decoders and lifted task conditionals are always derived
 from the freshest encoder set.
 
+A solve keeps one workspace of raw arrays: the encoders, the marginals, the
+Bayes-inversion chain p(S_0 | S_j), the task conditionals and the decoders.
+After the level-k encoder update only the marginals, chain entries and
+decoders at levels >= k are recomputed, since nothing below level k depends
+on that encoder.  The refresh evaluates the same expressions in the same
+order as deriving the state from scratch, so it is bit-identical to it.
+``CondTable`` and ``Dist`` validation happens at the API boundary only: on
+the problems and states passed in and on the returned ``HibState``.
+
 All computation is in log-space where it matters: encoder columns are
 max-subtracted before exponentiation so large beta values cannot overflow,
 and +inf distortions map to exactly zero mass.
@@ -25,9 +34,10 @@ from .errors import DegenerateColumnError, DimensionError, ValidationError
 from .probability import (
     CondTable,
     Dist,
+    _bayes_matrix,
+    _mutual_information,
     bayes_invert,
     kl_divergence_matrix,
-    mutual_information,
 )
 
 INIT_KRONECKER = "kronecker_delta"
@@ -169,14 +179,76 @@ def init_encoders(problem: HibProblem, opts: SolveOptions) -> tuple[CondTable, .
     return tuple(encoders)
 
 
-def _inversion_chain(problem: HibProblem, encoders, marginals) -> list[np.ndarray]:
-    """W[j] = p(S_0 | S_j) as a raw array; W[0] is the identity."""
-    m0 = len(problem.prior)
-    chain = [np.eye(m0)]
-    for j, enc in enumerate(encoders):
-        inv = bayes_invert(enc, marginals[j], marginals[j + 1])
-        chain.append(chain[j] @ inv.matrix)
-    return chain
+class _Workspace:
+    """The raw arrays of one solve, consistent with the encoder tables it
+    is built from.
+
+    ``chain[j]`` is p(S_0 | S_j) with ``chain[0]`` the identity; encoders,
+    marginals and decoders follow the ``HibState`` indexing.
+    """
+
+    def __init__(self, problem: HibProblem, encoders):
+        n = problem.n
+        self.problem = problem
+        self.tasks = [cond.matrix for cond in problem.task_conditionals]
+        self.encoders = [enc.matrix for enc in encoders]
+        self.marginals = [problem.prior.values] + [None] * n
+        self.chain = [np.eye(len(problem.prior))] + [None] * n
+        self.decoders = [None] * n
+        self.refresh(1)
+
+    def refresh(self, k: int) -> None:
+        """Recompute the marginals, chain entries and decoders at levels >= k,
+        the ones that depend on the level-k encoder."""
+        for j in range(k, self.problem.n + 1):
+            enc, below = self.encoders[j - 1], self.marginals[j - 1]
+            v = enc @ below
+            s = float(v.sum())
+            if abs(s - 1.0) > 1e-12:
+                v = v / s
+            self.marginals[j] = v
+            self.chain[j] = self.chain[j - 1] @ _bayes_matrix(enc, below, v)
+            dec = self.tasks[j - 1] @ self.chain[j]
+            dead = v <= 0
+            if np.any(dead):
+                dec = dec.copy()
+                dec[:, dead] = 1.0 / dec.shape[0]
+            self.decoders[j - 1] = dec / dec.sum(axis=0, keepdims=True)
+
+    def distortion(self, k: int, direction: str) -> np.ndarray:
+        """See ``distortion``."""
+
+        def pair_kl(dec: np.ndarray, q: np.ndarray) -> np.ndarray:
+            if direction == DISTORTION_DECODER_FIRST:
+                return kl_divergence_matrix(dec, q)
+            return kl_divergence_matrix(q, dec).T
+
+        # the lifted tables P(T_i | S_{k-1}) are formed here, not cached: for
+        # k > 1, chain[k - 1] changes between any two updates that use it
+        base = self.chain[k - 1]
+        d = pair_kl(self.decoders[k - 1], self.tasks[k - 1] @ base)
+        cluster_chain = np.eye(self.problem.cluster_sizes[k - 1])
+        for i in range(k + 1, self.problem.n + 1):
+            cluster_chain = self.encoders[i - 1] @ cluster_chain
+            kls = pair_kl(self.decoders[i - 1], self.tasks[i - 1] @ base)
+            d = d + _weighted_kl_sum(cluster_chain.T, kls)
+        return d
+
+    def objective(self, beta: float) -> float:
+        """See ``objective``."""
+        return _objective(self.encoders, self.marginals, self.decoders, beta)
+
+    def state(self, encoders=None) -> HibState:
+        """The validated ``HibState``; ``encoders`` are the tables the
+        workspace was built from, when the caller has them."""
+        if encoders is None:
+            encoders = tuple(CondTable(enc) for enc in self.encoders)
+        marginals = (self.problem.prior,) + tuple(map(Dist, self.marginals[1:]))
+        decoders = tuple(
+            CondTable(dec, cond.row_labels)
+            for dec, cond in zip(self.decoders, self.problem.task_conditionals)
+        )
+        return HibState(tuple(encoders), marginals, decoders)
 
 
 def derive_state(problem: HibProblem, encoders) -> HibState:
@@ -186,31 +258,17 @@ def derive_state(problem: HibProblem, encoders) -> HibState:
     mass and the equations leave them undefined.
     """
     encoders = tuple(encoders)
-    marginals = [problem.prior]
-    for k, enc in enumerate(encoders):
-        v = enc.matrix @ marginals[k].values
-        s = float(v.sum())
-        if abs(s - 1.0) > 1e-12:
-            v = v / s
-        marginals.append(Dist(v))
-    chain = _inversion_chain(problem, encoders, marginals)
-    decoders = []
-    for k, cond in enumerate(problem.task_conditionals):
-        dec = cond.matrix @ chain[k + 1]
-        dead = marginals[k + 1].values <= 0
-        if np.any(dead):
-            dec = dec.copy()
-            dec[:, dead] = 1.0 / dec.shape[0]
-        dec = dec / dec.sum(axis=0, keepdims=True)
-        decoders.append(CondTable(dec, cond.row_labels))
-    return HibState(encoders, tuple(marginals), tuple(decoders))
+    return _Workspace(problem, encoders).state(encoders)
 
 
 def _weighted_kl_sum(weights: np.ndarray, kls: np.ndarray) -> np.ndarray:
     """weights @ kls with the 0 * inf = 0 convention."""
-    finite = np.where(np.isinf(kls), 0.0, kls)
+    inf = np.isinf(kls)
+    if not np.any(inf):
+        return weights @ kls
+    finite = np.where(inf, 0.0, kls)
     out = weights @ finite
-    hit_inf = (weights > 0).astype(float) @ np.isinf(kls).astype(float) > 0
+    hit_inf = (weights > 0).astype(float) @ inf.astype(float) > 0
     out[hit_inf] = np.inf
     return out
 
@@ -230,43 +288,28 @@ def distortion(
     n = problem.n
     if not 1 <= k <= n:
         raise DimensionError(f"level {k} out of range 1..{n}")
-    chain = _inversion_chain(problem, state.encoders, state.marginals)
-    lifted = {
-        i: problem.task_conditionals[i - 1].matrix @ chain[k - 1]
-        for i in range(k, n + 1)
-    }
-
-    def pair_kl(dec: np.ndarray, q: np.ndarray) -> np.ndarray:
-        if direction == DISTORTION_DECODER_FIRST:
-            return kl_divergence_matrix(dec, q)
-        return kl_divergence_matrix(q, dec).T
-
-    d = pair_kl(state.decoders[k - 1].matrix, lifted[k])
-    cluster_chain = np.eye(problem.cluster_sizes[k - 1])
-    for i in range(k + 1, n + 1):
-        cluster_chain = state.encoders[i - 1].matrix @ cluster_chain
-        kls = pair_kl(state.decoders[i - 1].matrix, lifted[i])
-        d = d + _weighted_kl_sum(cluster_chain.T, kls)
-    return d
+    return _Workspace(problem, state.encoders).distortion(k, direction)
 
 
 def _encoder_from_distortion(
     log_prior: np.ndarray, d: np.ndarray, beta: float, alpha: float, level: int
 ) -> np.ndarray:
     """Log-space softmax of (1/alpha) log p(s_k) - beta d, or the argmax rule
-    at alpha = 0.  Raises DegenerateColumnError when a column has no
-    admissible cluster."""
+    at alpha = 0 (lowest index on ties).  Raises DegenerateColumnError when a
+    column has no admissible cluster."""
+    # 0 * inf = 0 as in _weighted_kl_sum: at beta = 0 no distortion counts,
+    # infinite ones included
+    penalty = beta * d if beta > 0 else np.zeros_like(d)
     if alpha == 0.0:
-        score = log_prior[:, None] - beta * d
+        score = log_prior[:, None] - penalty
+        dead = np.all(np.isneginf(score), axis=0)
+        if np.any(dead):
+            raise DegenerateColumnError(level, int(np.argmax(dead)))
         out = np.zeros_like(d)
-        for j in range(d.shape[1]):
-            col = score[:, j]
-            if np.all(np.isneginf(col)):
-                raise DegenerateColumnError(level, j)
-            out[int(np.argmax(col)), j] = 1.0
+        out[np.argmax(score, axis=0), np.arange(d.shape[1])] = 1.0
         return out
     weight = 1.0 / alpha
-    expo = weight * log_prior[:, None] - beta * d
+    expo = weight * log_prior[:, None] - penalty
     mx = np.max(expo, axis=0, keepdims=True)
     dead_cols = np.isneginf(mx)
     if np.any(dead_cols):
@@ -284,55 +327,61 @@ def _log_or_neginf(v: np.ndarray) -> np.ndarray:
 
 
 def _update_level(
-    problem: HibProblem,
-    state: HibState,
-    k: int,
-    beta: float,
-    alpha: float,
-    direction: str = DISTORTION_DECODER_FIRST,
-) -> HibState:
-    d = distortion(problem, state, k, direction)
-    log_prior = _log_or_neginf(state.marginals[k].values)
+    ws: _Workspace, k: int, beta: float, alpha: float, direction: str
+) -> float:
+    """Replace the level-k encoder (1-based) by its closed-form update and
+    refresh the levels >= k.  Returns the largest absolute encoder change."""
+    d = ws.distortion(k, direction)
+    log_prior = _log_or_neginf(ws.marginals[k])
     new_enc = _encoder_from_distortion(log_prior, d, beta, alpha, k)
-    encoders = list(state.encoders)
-    encoders[k - 1] = CondTable(new_enc)
-    return derive_state(problem, encoders)
+    change = float(np.max(np.abs(new_enc - ws.encoders[k - 1])))
+    ws.encoders[k - 1] = new_enc
+    ws.refresh(k)
+    return change
 
 
 def update_level(
     problem: HibProblem, state: HibState, k: int, opts: SolveOptions
 ) -> HibState:
     """One encoder/marginal/decoder refresh at level k (1-based)."""
-    return _update_level(problem, state, k, opts.beta, opts.alpha, opts.distortion)
+    ws = _Workspace(problem, state.encoders)
+    _update_level(ws, k, opts.beta, opts.alpha, opts.distortion)
+    return ws.state()
+
+
+def _objective(encoders, marginals, decoders, beta: float) -> float:
+    total = 0.0
+    for k, (enc, dec) in enumerate(zip(encoders, decoders)):
+        total += _mutual_information(enc, marginals[k])
+        total -= beta * _mutual_information(dec, marginals[k + 1])
+    return total
 
 
 def objective(problem: HibProblem, state: HibState, beta: float) -> float:
     """sum_k I(S_{k-1}; S_k) - beta * sum_k I(T_k; S_k) in nats."""
-    total = 0.0
-    for k in range(problem.n):
-        total += mutual_information(state.encoders[k], state.marginals[k])
-        total -= beta * mutual_information(state.decoders[k], state.marginals[k + 1])
-    return total
+    return _objective(
+        [enc.matrix for enc in state.encoders],
+        [m.values for m in state.marginals],
+        [dec.matrix for dec in state.decoders],
+        beta,
+    )
 
 
 def _solve(problem: HibProblem, opts: SolveOptions, alpha: float):
-    state = derive_state(problem, init_encoders(problem, opts))
-    prev_obj = objective(problem, state, opts.beta)
+    ws = _Workspace(problem, init_encoders(problem, opts))
+    prev_obj = ws.objective(opts.beta)
     trace: list[float] = []
     residuals: list[float] = []
     converged = False
     iterations = 0
     for it in range(opts.max_iter):
-        prev_encoders = [enc.matrix for enc in state.encoders]
-        for k in range(1, problem.n + 1):
-            state = _update_level(problem, state, k, opts.beta, alpha, opts.distortion)
         residuals.append(
             max(
-                float(np.max(np.abs(new.matrix - old)))
-                for new, old in zip(state.encoders, prev_encoders)
+                _update_level(ws, k, opts.beta, alpha, opts.distortion)
+                for k in range(1, problem.n + 1)
             )
         )
-        obj = objective(problem, state, opts.beta)
+        obj = ws.objective(opts.beta)
         trace.append(obj)
         iterations = it + 1
         if iterations >= opts.min_iter and prev_obj - obj < opts.tol:
@@ -342,7 +391,7 @@ def _solve(problem: HibProblem, opts: SolveOptions, alpha: float):
     report = SolveReport(
         tuple(trace), iterations, converged, residuals[-1], tuple(residuals)
     )
-    return state, report
+    return ws.state(), report
 
 
 def solve_hib(problem: HibProblem, opts: SolveOptions = SolveOptions()):
@@ -401,14 +450,12 @@ def fixed_point_residual(
     direction: str = DISTORTION_DECODER_FIRST,
 ) -> float:
     """Max absolute encoder change when the closed-form update is re-applied
-    to a state; small values certify a self-consistent fixed point."""
-    worst = 0.0
-    for k in range(1, problem.n + 1):
-        d = distortion(problem, state, k, direction)
-        log_prior = _log_or_neginf(state.marginals[k].values)
-        fresh = _encoder_from_distortion(log_prior, d, beta, alpha, k)
-        worst = max(worst, float(np.max(np.abs(fresh - state.encoders[k - 1].matrix))))
-    return worst
+    to a state, every level to the state as given; small values certify a
+    self-consistent fixed point."""
+    return max(
+        _update_level(_Workspace(problem, state.encoders), k, beta, alpha, direction)
+        for k in range(1, problem.n + 1)
+    )
 
 
 def effective_cluster_count(state: HibState, k: int, mass_threshold: float) -> int:

@@ -33,6 +33,19 @@ def brute_force_mi(cond: np.ndarray, py: np.ndarray) -> float:
     return total
 
 
+def column_loop_mi(m: np.ndarray, w: np.ndarray) -> float:
+    """The per-column loop mutual_information must reproduce exactly."""
+    px = m @ w
+    total = 0.0
+    for j in range(m.shape[1]):
+        if w[j] == 0:
+            continue
+        col = m[:, j]
+        mask = (col > 0) & (px > 0)
+        total += w[j] * float(np.sum(col[mask] * np.log(col[mask] / px[mask])))
+    return max(total, 0.0)
+
+
 def dists(min_n=2, max_n=6, full_support=True):
     def build(weights):
         arr = np.array(weights)
@@ -78,6 +91,18 @@ class TestValidation:
 
     def test_dist_tolerates_1e9_drift(self):
         Dist(np.array([0.5, 0.5 + 5e-10]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_dist_rejects_non_finite(self, bad):
+        # NaN compares False against every bound, so only an explicit
+        # finiteness check catches it
+        with pytest.raises(ValidationError, match="finite"):
+            Dist(np.array([bad, 1.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_cond_table_rejects_non_finite(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            CondTable(np.array([[bad], [1.0]]))
 
     def test_cond_table_rejects_bad_column(self):
         with pytest.raises(ValidationError):
@@ -181,6 +206,24 @@ class TestMutualInformation:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             mutual_information(CondTable.identity(3), Dist.uniform(4))
+
+    def test_equals_column_loop_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        for trial in range(120):
+            rows = int(rng.integers(1, 40)) if trial % 3 else int(rng.integers(100, 300))
+            cols = int(rng.integers(1, 40))
+            m = rng.dirichlet(np.ones(rows) * rng.choice([0.05, 1.0]), size=cols).T
+            w = rng.dirichlet(np.ones(cols))
+            if trial % 2:  # exact zeros in the table and zero-weight columns
+                m[rng.random(m.shape) < 0.4] = 0.0
+                m[:, m.sum(axis=0) == 0] = 1.0 / rows
+                m = m / m.sum(axis=0)
+                w[rng.random(cols) < 0.3] = 0.0
+                if w.sum() == 0:
+                    w[-1] = 1.0
+                w = w / w.sum()
+            got = mutual_information(CondTable(m), Dist(w))
+            assert got == column_loop_mi(m, w)
 
 
 class TestChain:

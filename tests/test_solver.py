@@ -24,8 +24,8 @@ from hibtask import (
     solve_ib_sequential,
     update_level,
 )
-from hibtask import DISTORTION_INPUT_FIRST
-from hibtask.solver import INIT_PERTURBED, init_encoders
+from hibtask import DISTORTION_DECODER_FIRST, DISTORTION_INPUT_FIRST
+from hibtask.solver import INIT_PERTURBED, _encoder_from_distortion, init_encoders
 from tests.conftest import random_problem
 
 
@@ -51,6 +51,28 @@ def brute_force_objective(problem, state, beta):
                 if joint > 0:
                     total -= beta * joint * math.log(joint / (pt[t] * pz[s]))
     return total
+
+
+def argmax_rule_loop(score, level):
+    """The per-column alpha = 0 rule the vectorised update must reproduce."""
+    out = np.zeros_like(score)
+    for j in range(score.shape[1]):
+        col = score[:, j]
+        if np.all(np.isneginf(col)):
+            raise DegenerateColumnError(level, j)
+        out[int(np.argmax(col)), j] = 1.0
+    return out
+
+
+def from_scratch_sweeps(problem, opts):
+    """opts.max_iter sweeps of update_level, each rebuilding the state."""
+    state = derive_state(problem, init_encoders(problem, opts))
+    trace = []
+    for _ in range(opts.max_iter):
+        for k in range(1, problem.n + 1):
+            state = update_level(problem, state, k, opts)
+        trace.append(objective(problem, state, opts.beta))
+    return state, tuple(trace)
 
 
 class TestObjective:
@@ -263,6 +285,48 @@ class TestSolveHib:
         for ea, eb in zip(a_state.encoders, b_state.encoders):
             assert np.array_equal(ea.matrix, eb.matrix)
 
+    def test_beta_zero_with_infinite_distortion(self):
+        # disjoint task columns make the distortion infinite off the
+        # diagonal; at beta = 0 it carries no weight (0 * inf = 0) and the
+        # fixed point puts the level marginal in every encoder column
+        problem = HibProblem(
+            Dist(np.array([0.5, 0.5])), (CondTable(np.array([[1.0, 0.0], [0.0, 1.0]])),)
+        )
+        state, report = solve_hib(problem, SolveOptions(beta=0.0))
+        assert np.all(np.isfinite(report.objective_trace))
+        for k, enc in enumerate(state.encoders):
+            assert np.all(np.isfinite(enc.matrix))
+            for x in range(enc.n_cols):
+                assert np.allclose(
+                    enc.matrix[:, x], state.marginals[k + 1].values, atol=1e-12
+                )
+
+    @pytest.mark.parametrize(
+        "direction", [DISTORTION_DECODER_FIRST, DISTORTION_INPUT_FIRST]
+    )
+    def test_refreshed_state_equals_from_scratch_state(self, direction):
+        # a solve refreshes only the levels at and above each update; its
+        # final state and every sweep must be bit-identical to deriving the
+        # state afresh after each level update
+        rng = np.random.default_rng(71)
+        for i in range(12):
+            problem = random_problem(rng)
+            alpha = (1.0, 0.5, 0.0)[i % 3]
+            solve = solve_hib if alpha == 1.0 else solve_hdib
+            opts = SolveOptions(
+                beta=10.0, alpha=alpha, distortion=direction, min_iter=8, max_iter=8
+            )
+            state, report = solve(problem, opts)
+            fresh = derive_state(problem, state.encoders)
+            for a, b in zip(state.marginals, fresh.marginals):
+                assert np.array_equal(a.values, b.values)
+            for a, b in zip(state.decoders, fresh.decoders):
+                assert np.array_equal(a.matrix, b.matrix)
+            ref_state, ref_trace = from_scratch_sweeps(problem, opts)
+            assert report.objective_trace == ref_trace
+            for a, b in zip(state.encoders, ref_state.encoders):
+                assert np.array_equal(a.matrix, b.matrix)
+
     def test_marginal_consistency_invariant(self, tutorial_problem):
         state, _ = solve_hib(tutorial_problem, SolveOptions(beta=100.0))
         for k in range(tutorial_problem.n):
@@ -322,6 +386,30 @@ class TestSolveHdib:
         for enc in state.encoders:
             assert np.all(np.isin(enc.matrix, (0.0, 1.0)))
             assert np.allclose(enc.matrix.sum(axis=0), 1.0)
+
+    def test_alpha_zero_rule_matches_column_loop(self):
+        rng = np.random.default_rng(61)
+        for trial in range(60):
+            rows, cols = (int(v) for v in rng.integers(1, 9, size=2))
+            # small integer distortions under a uniform prior tie often;
+            # infinite entries bar clusters, and whole infinite columns leave
+            # an element without an admissible cluster
+            d = rng.integers(0, 3, size=(rows, cols)).astype(float)
+            d[rng.random(d.shape) < 0.2] = np.inf
+            if trial % 3 == 0:
+                d[:, rng.integers(0, cols, size=2)] = np.inf
+            prior = np.full(rows, 1.0 / rows) if trial % 2 else rng.dirichlet(np.ones(rows))
+            log_prior = np.log(prior)
+            beta = 2.0
+            try:
+                expected = argmax_rule_loop(log_prior[:, None] - beta * d, 2)
+            except DegenerateColumnError as err:
+                with pytest.raises(DegenerateColumnError) as got:
+                    _encoder_from_distortion(log_prior, d, beta, 0.0, 2)
+                assert (got.value.level, got.value.column) == (2, err.column)
+                continue
+            got = _encoder_from_distortion(log_prior, d, beta, 0.0, 2)
+            assert np.array_equal(got, expected)
 
     def test_alpha_zero_tutorial_groups_x3_x4(self, tutorial_problem):
         state, report = solve_hdib(
