@@ -4,11 +4,23 @@ word banks, oracle tables and reference annotations.
 All numbers are serialized at full precision (Python's shortest round-trip
 float representation), so identical objects produce byte-identical files and
 parse(serialize(x)) reproduces x exactly.
+
+Every file is the bytes of ``json.dumps(payload, indent=2) + "\\n"``, ASCII
+only, written and read as UTF-8. ``_dump`` does not call ``json.dumps`` with
+``indent``: any indent makes CPython fall back to its pure-Python encoder,
+which took over half of a solve at |S_0| = 256 to write the 7 MB solution.
+Instead it walks dicts and nested lists in Python and hands every list of
+plain scalars to the C encoder with an item separator that carries the
+newline and indentation of its depth. Floats therefore still go through
+``float.__repr__``, and non-finite floats still come out as ``NaN`` and
+``Infinity``. Payload keys are always ``str``.
 """
 
 from __future__ import annotations
 
 import json
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -23,13 +35,66 @@ from .solver import HibProblem, HibState, SolveOptions, SolveReport
 from .task_update import TableOracle, WordBank
 
 
+_INDENT = "  "
+# exact types: a list holding anything else (a container, or a subclass the C
+# encoder would write without indentation) is walked item by item
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
+@lru_cache(maxsize=None)
+def _flat_encoder(depth: int) -> json.JSONEncoder:
+    """C encoder for a list of scalars whose items sit at ``depth``."""
+    return json.JSONEncoder(separators=(",\n" + _INDENT * depth, ": "))
+
+
+def _encode(value, depth: int, chunks: list) -> None:
+    """Append the ``indent=2`` encoding of ``value`` at ``depth`` to ``chunks``."""
+    if isinstance(value, dict):
+        if not value:
+            chunks.append("{}")
+            return
+        inner = "\n" + _INDENT * (depth + 1)
+        sep = "{" + inner
+        for key, item in value.items():
+            chunks.append(sep + encode_basestring_ascii(key) + ": ")
+            _encode(item, depth + 1, chunks)
+            sep = "," + inner
+        chunks.append("\n" + _INDENT * depth + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            chunks.append("[]")
+            return
+        inner = "\n" + _INDENT * (depth + 1)
+        if _SCALAR_TYPES.issuperset(map(type, value)):
+            flat = _flat_encoder(depth + 1).encode(value)
+            chunks.append("[" + inner)
+            chunks.append(flat[1:-1])
+        else:
+            sep = "[" + inner
+            for item in value:
+                chunks.append(sep)
+                _encode(item, depth + 1, chunks)
+                sep = "," + inner
+        chunks.append("\n" + _INDENT * depth + "]")
+    else:
+        chunks.append(_flat_encoder(depth).encode(value))
+
+
+def _dumps(payload) -> str:
+    """The text of ``json.dumps(payload, indent=2) + "\\n"``."""
+    chunks = []
+    _encode(payload, 0, chunks)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
 def _dump(payload, path):
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    Path(path).write_text(_dumps(payload), encoding="utf-8")
 
 
 def _load(path, expected: str) -> dict:
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ParseError(str(path), "-", "file not found")
     except json.JSONDecodeError as exc:
@@ -43,6 +108,13 @@ def _require(payload: dict, key: str, path) -> object:
     if key not in payload:
         raise ParseError(str(path), key, "missing required field")
     return payload[key]
+
+
+def _require_list(payload: dict, key: str, path) -> list:
+    value = _require(payload, key, path)
+    if not isinstance(value, list):
+        raise ParseError(str(path), key, "expected a JSON array")
+    return value
 
 
 def _table_payload(table: CondTable) -> dict:
@@ -104,17 +176,19 @@ def load_problem(path) -> tuple[HibProblem, SolveOptions | None]:
         raise ParseError(str(path), "prior", str(exc))
     conds = tuple(
         _table_from(t, path, f"task_conditionals[{i}]")
-        for i, t in enumerate(_require(payload, "task_conditionals", path))
+        for i, t in enumerate(_require_list(payload, "task_conditionals", path))
     )
     sizes = payload.get("cluster_sizes")
     try:
         problem = HibProblem(prior, conds, tuple(sizes) if sizes else None)
     except (TypeError, ValueError) as exc:
         raise ParseError(str(path), "cluster_sizes", str(exc))
-    if "n" in payload and int(payload["n"]) != problem.n:
-        raise ParseError(
-            str(path), "n", f"declared {payload['n']} levels, found {problem.n}"
-        )
+    if "n" in payload:
+        n = payload["n"]
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ParseError(str(path), "n", f"expected an integer, got {n!r}")
+        if n != problem.n:
+            raise ParseError(str(path), "n", f"declared {n} levels, found {problem.n}")
     options = None
     if "solve_options" in payload:
         try:
@@ -156,7 +230,7 @@ def save_scene(primitives, path):
 def load_scene(path) -> list[Primitive]:
     payload = _load(path, "scene")
     out = []
-    for i, entry in enumerate(_require(payload, "primitives", path)):
+    for i, entry in enumerate(_require_list(payload, "primitives", path)):
         try:
             out.append(
                 Primitive(
@@ -202,7 +276,7 @@ def save_hierarchy(hierarchy: TaskHierarchy, path):
 def load_hierarchy(path) -> TaskHierarchy:
     payload = _load(path, "hierarchy")
     entities = {}
-    for i, entry in enumerate(_require(payload, "entities", path)):
+    for i, entry in enumerate(_require_list(payload, "entities", path)):
         try:
             spatial = None
             if "spatial" in entry:
@@ -225,12 +299,9 @@ def load_hierarchy(path) -> TaskHierarchy:
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(str(path), f"entities[{i}]", str(exc))
         entities[ent.id] = ent
+    roots = tuple(_require_list(payload, "roots", path))
     try:
-        return TaskHierarchy(
-            entities,
-            tuple(_require(payload, "roots", path)),
-            payload.get("null_task"),
-        )
+        return TaskHierarchy(entities, roots, payload.get("null_task"))
     except ValueError as exc:
         raise ParseError(str(path), "entities", str(exc))
 
@@ -264,7 +335,7 @@ def save_graph(graph: SceneGraph, path):
 def load_graph(path) -> SceneGraph:
     payload = _load(path, "graph")
     nodes = {}
-    for i, entry in enumerate(_require(payload, "nodes", path)):
+    for i, entry in enumerate(_require_list(payload, "nodes", path)):
         try:
             node = SceneNode(
                 id=str(entry["id"]),
@@ -287,7 +358,12 @@ def load_graph(path) -> SceneGraph:
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(str(path), f"nodes[{i}]", str(exc))
         nodes[node.id] = node
-    return SceneGraph(nodes, frozenset(payload.get("null_entities", ())))
+    null_entities = (
+        _require_list(payload, "null_entities", path)
+        if "null_entities" in payload
+        else ()
+    )
+    return SceneGraph(nodes, frozenset(null_entities))
 
 
 # --------------------------------------------------------------- solutions
@@ -313,12 +389,12 @@ def load_solution(path) -> tuple[HibState, SolveReport]:
     payload = _load(path, "solution")
     encoders = tuple(
         _table_from(t, path, f"encoders[{i}]")
-        for i, t in enumerate(_require(payload, "encoders", path))
+        for i, t in enumerate(_require_list(payload, "encoders", path))
     )
     try:
         marginals = tuple(
             Dist(np.array(v, dtype=float))
-            for v in _require(payload, "marginals", path)
+            for v in _require_list(payload, "marginals", path)
         )
     except ParseError:
         raise
@@ -326,7 +402,7 @@ def load_solution(path) -> tuple[HibState, SolveReport]:
         raise ParseError(str(path), "marginals", str(exc))
     decoders = tuple(
         _table_from(t, path, f"decoders[{i}]")
-        for i, t in enumerate(_require(payload, "decoders", path))
+        for i, t in enumerate(_require_list(payload, "decoders", path))
     )
     rep = _require(payload, "report", path)
     try:
@@ -362,7 +438,7 @@ def load_word_bank(path) -> WordBank:
         return WordBank(
             tuple(
                 (str(e["word"]), np.array(e["embedding"], dtype=float))
-                for e in _require(payload, "words", path)
+                for e in _require_list(payload, "words", path)
             )
         )
     except ParseError:
@@ -433,7 +509,7 @@ def save_reference(reference: ReferenceAnnotation, path):
 def load_reference(path) -> ReferenceAnnotation:
     payload = _load(path, "reference")
     tasks = {}
-    for i, entry in enumerate(_require(payload, "tasks", path)):
+    for i, entry in enumerate(_require_list(payload, "tasks", path)):
         try:
             subtasks = []
             for s in entry["subtasks"]:

@@ -1,10 +1,14 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hibtask import ParseError, files, solve_hib
+from hibtask import HibProblem, ParseError, SolveOptions, files, solve_hib
 from hibtask.cli import main
+from tests.conftest import random_cond, random_dist
 
 
 def _roundtrip(save, load, obj, path):
@@ -75,6 +79,91 @@ class TestRoundTrips:
         with pytest.raises(ParseError) as err:
             files.load_problem(missing)
         assert "prior" in str(err.value)
+
+
+def _oracle_bytes(payload) -> bytes:
+    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+
+
+_TEXT = st.text(max_size=8) | st.sampled_from(
+    ['"\\/\b\n\t\x00\x1f\x7f', "\u00e9\u2603\U0001d11e"]
+)
+_FLOATS = st.floats() | st.sampled_from(
+    [-0.0, 5e-324, 1e16, math.inf, -math.inf, math.nan]
+)
+_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(-10**80, 10**80)
+    | _FLOATS | _TEXT
+)
+
+
+def _nested(inner):
+    return (
+        st.lists(inner, max_size=5)
+        | st.lists(inner, max_size=5).map(tuple)
+        | st.tuples(_SCALARS, st.lists(inner, max_size=5)).map(list)
+        | st.dictionaries(_TEXT, inner, max_size=5)
+    )
+
+
+# three levels of containers, with every kind of scalar at every level
+_VALUES = _SCALARS | _nested(_SCALARS | _nested(_SCALARS | _nested(_SCALARS)))
+
+
+class TestWriter:
+    """The file writer reproduces ``json.dumps(payload, indent=2)`` exactly."""
+
+    @given(st.dictionaries(_TEXT, _VALUES, max_size=4) | _VALUES)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_indent_2_encoder(self, payload):
+        assert files._dumps(payload) == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """Every (payload, path) that goes through ``files._dump``."""
+        calls = []
+        dump = files._dump
+
+        def record(payload, path):
+            calls.append((payload, path))
+            dump(payload, path)
+
+        monkeypatch.setattr(files, "_dump", record)
+        return calls
+
+    def test_large_solution_bytes(self, recorded, tmp_path):
+        rng = np.random.default_rng(5)
+        problem = HibProblem(
+            random_dist(rng, 256),
+            tuple(random_cond(rng, rows, 256) for rows in (12, 6, 3)),
+        )
+        state, report = solve_hib(problem, SolveOptions(min_iter=1, max_iter=3))
+        files.save_solution(state, report, tmp_path / "solution.json")
+        [(payload, path)] = recorded
+        assert len(payload["encoders"][0]["matrix"]) == 256
+        assert path.read_bytes() == _oracle_bytes(payload)
+
+    def test_pipeline_graph_and_hierarchy_bytes(self, recorded, fixtures_dir, tmp_path):
+        pipe = fixtures_dir / "pipeline"
+        graph, hierarchy = tmp_path / "graph.json", tmp_path / "hierarchy.json"
+        code = main(
+            [
+                "pipeline",
+                *(str(pipe / name) for name in
+                  ("scene.json", "hierarchy.json", "word_bank.json", "oracle.json")),
+                "--temperature", "0.15",
+                "--out-graph", str(graph),
+                "--out-hierarchy", str(hierarchy),
+                "--reports", str(tmp_path / "reports.jsonl"),
+            ]
+        )
+        assert code == 0
+        written = {str(path): payload for payload, path in recorded}
+        assert set(written) == {str(graph), str(hierarchy)}
+        assert any("bbox" in n for n in written[str(graph)]["nodes"])
+        assert any("embedding" in e for e in written[str(hierarchy)]["entities"])
+        for out in (graph, hierarchy):
+            assert out.read_bytes() == _oracle_bytes(written[str(out)])
 
 
 class TestCliSolve:
@@ -352,3 +441,73 @@ class TestCliPipelineAndEval:
             ]
         )
         assert code == 1
+
+
+class TestCliMalformedFields:
+    """A wrongly typed field exits 1 with ``error: <path>: <field>: ...``."""
+
+    @pytest.fixture
+    def inputs(self, fixtures_dir, tmp_path):
+        tut, pipe, met = (fixtures_dir / d for d in ("tutorial", "pipeline", "metrics"))
+        solution = tmp_path / "solution.json"
+        assert main(["solve", str(tut / "problem.json"), "--out", str(solution),
+                     "--trace", str(tmp_path / "t.jsonl")]) == 0
+        return {
+            "problem": tut / "problem.json",
+            "solution": solution,
+            "tutorial_hierarchy": tut / "hierarchy.json",
+            "tutorial_scene": tut / "scene.json",
+            "scene": pipe / "scene.json",
+            "hierarchy": pipe / "hierarchy.json",
+            "word_bank": pipe / "word_bank.json",
+            "oracle": pipe / "oracle.json",
+            "graph": met / "hta_graph.json",
+            "metrics_hierarchy": met / "hta_hierarchy.json",
+            "reference": met / "hta_reference.json",
+        }
+
+    @staticmethod
+    def _argv(command, f, out):
+        if command == "solve":
+            return ["solve", f["problem"], "--out", out / "o.json",
+                    "--trace", out / "t.jsonl"]
+        if command == "build-graph":
+            return ["build-graph", f["solution"], f["tutorial_hierarchy"],
+                    f["tutorial_scene"], "--out", out / "g.json"]
+        if command == "pipeline":
+            return ["pipeline", f["scene"], f["hierarchy"], f["word_bank"],
+                    f["oracle"], "--out-graph", out / "g.json",
+                    "--out-hierarchy", out / "h.json", "--reports", out / "r.jsonl"]
+        return ["eval", "--graph", f["graph"], "--hierarchy", f["metrics_hierarchy"],
+                "--reference", f["reference"]]
+
+    @pytest.mark.parametrize(
+        "command, role, field, value",
+        [
+            ("solve", "problem", "n", "x"),
+            ("solve", "problem", "n", None),
+            ("solve", "problem", "n", 2.5),
+            ("solve", "problem", "task_conditionals", 5),
+            ("build-graph", "solution", "encoders", 5),
+            ("build-graph", "solution", "marginals", 5),
+            ("build-graph", "solution", "decoders", {"matrix": [[1.0]]}),
+            ("build-graph", "tutorial_scene", "primitives", 5),
+            ("pipeline", "hierarchy", "entities", 5),
+            ("pipeline", "hierarchy", "roots", 5),
+            ("pipeline", "word_bank", "words", "abc"),
+            ("eval", "graph", "nodes", 5),
+            ("eval", "graph", "null_entities", 5),
+            ("eval", "reference", "tasks", 5),
+        ],
+    )
+    def test_exits_one_naming_the_field(
+        self, inputs, tmp_path, capsys, command, role, field, value
+    ):
+        payload = json.loads(inputs[role].read_text())
+        payload[field] = value
+        bad = tmp_path / f"bad_{role}.json"
+        bad.write_text(json.dumps(payload))
+        inputs[role] = bad
+        argv = [str(a) for a in self._argv(command, inputs, tmp_path)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: {field}: ")
