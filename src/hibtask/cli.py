@@ -32,7 +32,6 @@ from .solver import (
     SolveOptions,
     solve_hdib,
     solve_hib,
-    solve_ib,
 )
 from .task_update import PipelineOptions, run_pipeline
 
@@ -53,15 +52,8 @@ def _solver_options(args, file_options: SolveOptions | None) -> SolveOptions:
     the package defaults."""
     opts = file_options or SolveOptions()
     updates = {}
-    for flag, name in (
-        ("beta", "beta"),
-        ("alpha", "alpha"),
-        ("min_iter", "min_iter"),
-        ("max_iter", "max_iter"),
-        ("tol", "tol"),
-        ("seed", "seed"),
-    ):
-        value = getattr(args, flag)
+    for name in ("beta", "alpha", "min_iter", "max_iter", "tol", "seed"):
+        value = getattr(args, name)
         if value is not None:
             updates[name] = value
     if args.init is not None:
@@ -71,33 +63,34 @@ def _solver_options(args, file_options: SolveOptions | None) -> SolveOptions:
     return replace(opts, **updates)
 
 
+def _write_jsonl(path, records):
+    """One JSON object per line, to path or, when path is None, stdout."""
+    sink = open(path, "w") if path else sys.stdout
+    try:
+        for record in records:
+            sink.write(json.dumps(record) + "\n")
+    finally:
+        if path:
+            sink.close()
+
+
 def _cmd_solve(args) -> int:
     problem, file_options = files.load_problem(args.problem)
     opts = _solver_options(args, file_options)
-    if args.mode == "ib":
-        if problem.n != 1:
-            raise ParseError(args.problem, "task_conditionals", "--mode ib needs n = 1")
-        state, report = solve_ib(
-            problem.prior,
-            problem.task_conditionals[0],
-            opts,
-            cluster_size=problem.cluster_sizes[0],
-        )
-    elif args.mode == "hdib":
-        state, report = solve_hdib(problem, opts)
-    else:
-        state, report = solve_hib(problem, opts)
+    if args.mode == "ib" and problem.n != 1:
+        raise ParseError(args.problem, "task_conditionals", "--mode ib needs n = 1")
+    solve = solve_hdib if args.mode == "hdib" else solve_hib
+    state, report = solve(problem, opts)
     files.save_solution(state, report, args.out)
-    trace_sink = open(args.trace, "w") if args.trace else sys.stdout
-    try:
-        for i, (obj, res) in enumerate(
-            zip(report.objective_trace, report.residual_trace), start=1
-        ):
-            record = {"iteration": i, "objective": obj, "residual": res}
-            trace_sink.write(json.dumps(record) + "\n")
-    finally:
-        if args.trace:
-            trace_sink.close()
+    _write_jsonl(
+        args.trace,
+        (
+            {"iteration": i, "objective": obj, "residual": res}
+            for i, (obj, res) in enumerate(
+                zip(report.objective_trace, report.residual_trace), start=1
+            )
+        ),
+    )
     return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
 
 
@@ -134,29 +127,24 @@ def _cmd_pipeline(args) -> int:
     )
     files.save_graph(graph, args.out_graph)
     files.save_hierarchy(final_hierarchy, args.out_hierarchy)
-    sink = open(args.reports, "w") if args.reports else sys.stdout
-    try:
-        for rep in reports:
-            sink.write(
-                json.dumps(
-                    {
-                        "round": rep.round_index,
-                        "selected_primitives": rep.selected_primitives,
-                        "iterations": rep.solve.iterations,
-                        "converged": rep.solve.converged,
-                        "objective": rep.solve.objective_trace[-1],
-                        "node_counts": rep.node_counts,
-                        "grounded_subtasks": rep.grounded_subtasks,
-                        "suggestions": list(rep.suggestions),
-                        "hierarchy_changed": rep.hierarchy_changed,
-                        "alignment_changed": rep.alignment_changed,
-                    }
-                )
-                + "\n"
-            )
-    finally:
-        if args.reports:
-            sink.close()
+    _write_jsonl(
+        args.reports,
+        (
+            {
+                "round": rep.round_index,
+                "selected_primitives": rep.selected_primitives,
+                "iterations": rep.solve.iterations,
+                "converged": rep.solve.converged,
+                "objective": rep.solve.objective_trace[-1],
+                "node_counts": rep.node_counts,
+                "grounded_subtasks": rep.grounded_subtasks,
+                "suggestions": list(rep.suggestions),
+                "hierarchy_changed": rep.hierarchy_changed,
+                "alignment_changed": rep.alignment_changed,
+            }
+            for rep in reports
+        ),
+    )
     return EXIT_OK
 
 

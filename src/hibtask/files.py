@@ -471,6 +471,9 @@ def load_oracle(path) -> TableOracle:
             (str(e["context"]), str(e["item"])): float(e["score"])
             for e in payload.get("scores", ())
         }
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(str(path), "scores", str(exc))
+    try:
         proposals = {
             str(p["task"]): tuple(
                 (str(s["text"]), tuple(str(i) for i in s["items"]))
@@ -479,7 +482,7 @@ def load_oracle(path) -> TableOracle:
             for p in payload.get("proposals", ())
         }
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(str(path), "scores", str(exc))
+        raise ParseError(str(path), "proposals", str(exc))
     return TableOracle(scores, proposals)
 
 

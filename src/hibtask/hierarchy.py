@@ -3,7 +3,7 @@ that feed the solver."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,12 +149,6 @@ class TaskHierarchy:
             return self.roots + (self.null_task_id,)
         return self.roots
 
-    def parent_of(self, eid: str) -> str | None:
-        for pid, ent in self.entities.items():
-            if eid in ent.children:
-                return pid
-        return None
-
     def entities_of_kind(self, kind: str) -> tuple[TaskEntity, ...]:
         """Document order; the null task's subtree comes last."""
         out = []
@@ -180,18 +174,6 @@ class TaskHierarchy:
             out.add(eid)
             stack.extend(self.entities[eid].children)
         return frozenset(out)
-
-    def with_entity(self, entity: TaskEntity) -> "TaskHierarchy":
-        entities = dict(self.entities)
-        entities[entity.id] = entity
-        return TaskHierarchy(entities, self.roots, self.null_task_id)
-
-    def with_child(self, parent_id: str, child: TaskEntity) -> "TaskHierarchy":
-        entities = dict(self.entities)
-        entities[child.id] = child
-        parent = entities[parent_id]
-        entities[parent_id] = replace(parent, children=parent.children + (child.id,))
-        return TaskHierarchy(entities, self.roots, self.null_task_id)
 
 
 def cosine_matrix(primitives, entities) -> np.ndarray:
@@ -238,13 +220,12 @@ def hierarchy_step_conditional(
         raise ValidationError(f"no parent step from {from_kind!r} to {to_kind!r}")
     children = hierarchy.entities_of_kind(from_kind)
     parents = hierarchy.entities_of_kind(to_kind)
-    parent_index = {e.id: i for i, e in enumerate(parents)}
+    # a validated tree gives every child exactly one parent
+    child_index = {e.id: j for j, e in enumerate(children)}
     table = np.zeros((len(parents), len(children)))
-    for j, child in enumerate(children):
-        pid = hierarchy.parent_of(child.id)
-        if pid is None:
-            raise StructuralError(f"{child.id!r} has no parent")
-        table[parent_index[pid], j] = 1.0
+    for i, parent in enumerate(parents):
+        for cid in parent.children:
+            table[i, child_index[cid]] = 1.0
     return CondTable(
         table, tuple(e.id for e in parents), tuple(e.id for e in children)
     )

@@ -122,9 +122,6 @@ class CondTable:
     def n_cols(self) -> int:
         return self.matrix.shape[1]
 
-    def column(self, j: int) -> Dist:
-        return Dist(self.matrix[:, j], self.row_labels)
-
     @staticmethod
     def identity(n: int, labels=None) -> "CondTable":
         return CondTable(np.eye(n), labels, labels)

@@ -152,7 +152,7 @@ def spatial_update(
         positions[node.entity_id] = np.asarray(node.centroid)
         boxes[node.entity_id] = node.bbox
 
-    out = hierarchy
+    entities = dict(hierarchy.entities)
     for kind in (KIND_TASK, KIND_SUBTASK, KIND_ITEM):
         grounded = [
             e for e in hierarchy.entities_of_kind(kind) if e.id in positions
@@ -172,13 +172,8 @@ def spatial_update(
                 radius = float(min(neighbors)) if neighbors else fallback
                 if radius <= 0:
                     radius = fallback
-            out = out.with_entity(
-                replace(
-                    out.entities[ent.id],
-                    spatial=Spatial(tuple(pos), radius),
-                )
-            )
-    return out
+            entities[ent.id] = replace(ent, spatial=Spatial(tuple(pos), radius))
+    return TaskHierarchy(entities, hierarchy.roots, hierarchy.null_task_id)
 
 
 def spatial_conditional(primitive: Primitive, entity: TaskEntity) -> float:
@@ -252,12 +247,21 @@ def suggest_words(unmatched_primitives, word_bank: WordBank, top_k: int = 1):
     return [w for w, _ in sorted(scored.items(), key=lambda t: (-t[1], t[0]))]
 
 
-def _item_texts(hierarchy: TaskHierarchy, task: TaskEntity) -> set[str]:
-    texts = set()
-    for sid in task.children:
-        for iid in hierarchy.entities[sid].children:
-            texts.add(hierarchy.entities[iid].text)
-    return texts
+def _item_texts(entities: dict[str, TaskEntity], task: TaskEntity) -> set[str]:
+    return {
+        entities[iid].text for sid in task.children for iid in entities[sid].children
+    }
+
+
+def _ask(oracle: RefinementOracle, method: str, text: str, items: list[str]):
+    """oracle.<method>(text, items); any failure becomes a RefinementError
+    naming the query."""
+    try:
+        return getattr(oracle, method)(text, items)
+    except RefinementError:
+        raise
+    except Exception as exc:  # noqa: BLE001 - oracle boundary
+        raise RefinementError(f"{method}({text!r})", str(exc))
 
 
 def refine_hierarchy(
@@ -280,84 +284,69 @@ def refine_hierarchy(
     suggestions = list(suggestions)
     if not suggestions:
         return hierarchy
-    out = hierarchy
+    entities = dict(hierarchy.entities)
     null_ids = hierarchy.null_descendants()
     counter = 0
 
     def fresh_id(prefix: str) -> str:
         nonlocal counter
         counter += 1
-        while f"{prefix}-{counter}" in out.entities:
+        while f"{prefix}-{counter}" in entities:
             counter += 1
         return f"{prefix}-{counter}"
+
+    def attach(parent_id: str, child: TaskEntity):
+        entities[child.id] = child
+        parent = entities[parent_id]
+        entities[parent_id] = replace(parent, children=parent.children + (child.id,))
+
+    def new_item(parent_id: str, text: str):
+        attach(
+            parent_id,
+            TaskEntity(
+                id=fresh_id(f"{parent_id}/added"),
+                kind=KIND_ITEM,
+                text=text,
+                embedding=word_bank.embedding_of(text),
+            ),
+        )
+
     for task in hierarchy.entities_of_kind(KIND_TASK):
         if task.id in null_ids:
             continue
-        present = _item_texts(out, out.entities[task.id])
+        present = _item_texts(entities, task)
         available = [s for s in suggestions if s not in present]
         if not available:
             continue
         claimed: set[str] = set()
-        for sid in out.entities[task.id].children:
-            subtask = out.entities[sid]
+        for sid in task.children:
             queries = [s for s in available if s not in claimed]
             if not queries:
                 break
-            try:
-                scores = oracle.score_items(subtask.text, queries)
-            except RefinementError:
-                raise
-            except Exception as exc:  # noqa: BLE001 - oracle boundary
-                raise RefinementError(f"score_items({subtask.text!r})", str(exc))
+            scores = _ask(oracle, "score_items", entities[sid].text, queries)
             for text, score in zip(queries, scores):
                 if score > r_s:
-                    item = TaskEntity(
-                        id=fresh_id(f"{sid}/added"),
-                        kind=KIND_ITEM,
-                        text=text,
-                        embedding=word_bank.embedding_of(text),
-                    )
-                    out = out.with_child(sid, item)
+                    new_item(sid, text)
                     claimed.add(text)
         leftovers = [s for s in available if s not in claimed]
         if not leftovers:
             continue
-        try:
-            scores = oracle.score_items(out.entities[task.id].text, leftovers)
-        except RefinementError:
-            raise
-        except Exception as exc:  # noqa: BLE001
-            raise RefinementError(f"score_items({task.text!r})", str(exc))
+        scores = _ask(oracle, "score_items", task.text, leftovers)
         wanted = [t for t, score in zip(leftovers, scores) if score > r_t]
         if not wanted:
             continue
-        try:
-            steps = oracle.propose_subtasks(out.entities[task.id].text, wanted)
-        except RefinementError:
-            raise
-        except Exception as exc:  # noqa: BLE001
-            raise RefinementError(f"propose_subtasks({task.text!r})", str(exc))
+        steps = _ask(oracle, "propose_subtasks", task.text, wanted)
         used: set[str] = set()
         for step_text, step_items in steps:
             step_items = [t for t in step_items if t in wanted and t not in used]
             if not step_items:
                 continue
             new_sid = fresh_id(f"{task.id}/step")
-            out = out.with_child(
-                task.id, TaskEntity(id=new_sid, kind=KIND_SUBTASK, text=step_text)
-            )
+            attach(task.id, TaskEntity(id=new_sid, kind=KIND_SUBTASK, text=step_text))
             for text in step_items:
-                out = out.with_child(
-                    new_sid,
-                    TaskEntity(
-                        id=fresh_id(f"{new_sid}/added"),
-                        kind=KIND_ITEM,
-                        text=text,
-                        embedding=word_bank.embedding_of(text),
-                    ),
-                )
+                new_item(new_sid, text)
                 used.add(text)
-    return out
+    return TaskHierarchy(entities, hierarchy.roots, hierarchy.null_task_id)
 
 
 @dataclass(frozen=True)
@@ -367,8 +356,6 @@ class PipelineOptions:
     r_s: float = 0.8
     r_t: float = 0.8
     temperature: float = 1.0
-    top_k_words: int = 1
-    carry_rejected: bool = True  # rejected suggestions persist one round
     solver: SolveOptions = SolveOptions()
 
     def __post_init__(self):
@@ -467,7 +454,7 @@ def run_pipeline(
             if n.layer == 0
         }
         unmatched = [p for p in selected if p.id not in kept]
-        suggestions = suggest_words(unmatched, word_bank, opts.top_k_words)
+        suggestions = suggest_words(unmatched, word_bank)
         query = sorted(set(suggestions) | set(carried))
         refined = refine_hierarchy(
             new_hierarchy, query, oracle, opts.r_s, opts.r_t, word_bank
@@ -475,7 +462,8 @@ def run_pipeline(
         accepted = {
             e.text for e in refined.entities_of_kind(KIND_ITEM)
         }
-        carried = [w for w in query if w not in accepted] if opts.carry_rejected else []
+        # rejected words join the next round's query
+        carried = [w for w in query if w not in accepted]
 
         alignment = graph.alignment()
         hierarchy_changed = _hierarchy_fingerprint(refined) != _hierarchy_fingerprint(

@@ -495,6 +495,8 @@ class TestCliMalformedFields:
             ("pipeline", "hierarchy", "entities", 5),
             ("pipeline", "hierarchy", "roots", 5),
             ("pipeline", "word_bank", "words", "abc"),
+            ("pipeline", "oracle", "scores", 5),
+            ("pipeline", "oracle", "proposals", 5),
             ("eval", "graph", "nodes", 5),
             ("eval", "graph", "null_entities", 5),
             ("eval", "reference", "tasks", 5),

@@ -175,6 +175,17 @@ class TestHierarchyStepConditional:
         # items in document order: i, n1, n2; subtasks: s, ns
         assert np.allclose(table.matrix, [[1, 0, 0], [0, 1, 1]])
 
+    def test_child_listed_before_parent(self):
+        h = two_task_hierarchy()
+        reordered = TaskHierarchy(
+            dict(reversed(list(h.entities.items()))), h.roots, h.null_task_id
+        )
+        for lower, upper in (("item", "subtask"), ("subtask", "task")):
+            a = hierarchy_step_conditional(h, lower, upper)
+            b = hierarchy_step_conditional(reordered, lower, upper)
+            assert np.array_equal(a.matrix, b.matrix)
+            assert (a.row_labels, a.col_labels) == (b.row_labels, b.col_labels)
+
     def test_soft_tables_bypass_membership(self, tutorial_problem):
         # when explicit conditionals are supplied the tree step is not used:
         # the problem built from soft tables carries them unchanged

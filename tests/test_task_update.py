@@ -377,3 +377,46 @@ class TestRunPipeline:
             paths.append((hp, gp))
         assert paths[0][0].read_bytes() == paths[1][0].read_bytes()
         assert paths[0][1].read_bytes() == paths[1][1].read_bytes()
+
+
+class TestSingleValidation:
+    """Grounding and refinement build one hierarchy each, whatever they edit."""
+
+    def test_each_pass_validates_once(self, fixtures_dir, monkeypatch):
+        from hibtask import (
+            SolveOptions,
+            bottom_up_construct,
+            prune_primitives,
+            select_relevant_primitives,
+            solve_hib,
+            top_down_prune,
+        )
+        from hibtask.hierarchy import KIND_ITEM
+        from hibtask.task_update import derive_problem
+
+        pipe = fixtures_dir / "pipeline"
+        prims = files.load_scene(pipe / "scene.json")
+        hier = files.load_hierarchy(pipe / "hierarchy.json")
+        bank = files.load_word_bank(pipe / "word_bank.json")
+        oracle = files.load_oracle(pipe / "oracle.json")
+        selected = select_relevant_primitives(prims, hier.entities_of_kind(KIND_ITEM), 0.8)
+        state, _ = solve_hib(derive_problem(hier, selected, 0.15), SolveOptions())
+        graph = prune_primitives(top_down_prune(bottom_up_construct(state, hier, selected)))
+
+        calls = []
+        validate = TaskHierarchy._validate
+
+        def counting(self):
+            calls.append(self)
+            validate(self)
+
+        monkeypatch.setattr(TaskHierarchy, "_validate", counting)
+        grounded = spatial_update(graph, hier, prims)
+        assert len(calls) == 1
+        assert sum(e.spatial is not None for e in grounded.entities.values()) > 1
+
+        calls.clear()
+        words = [w for w, _ in bank.entries]
+        refined = refine_hierarchy(grounded, words, oracle, 0.8, 0.8, bank)
+        assert len(calls) == 1
+        assert len(refined.entities) > len(grounded.entities) + 1
