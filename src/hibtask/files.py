@@ -117,6 +117,23 @@ def _require_list(payload: dict, key: str, path) -> list:
     return value
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: a Python int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _id_list(value, path, field) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ParseError(str(path), field, "expected a JSON array of id strings")
+    return tuple(value)
+
+
+def _optional_id(value, path, field) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise ParseError(str(path), field, "expected an id string or null")
+    return value
+
+
 def _table_payload(table: CondTable) -> dict:
     out = {"matrix": table.matrix.tolist()}
     if table.row_labels is not None:
@@ -179,13 +196,15 @@ def load_problem(path) -> tuple[HibProblem, SolveOptions | None]:
         for i, t in enumerate(_require_list(payload, "task_conditionals", path))
     )
     sizes = payload.get("cluster_sizes")
+    if sizes is not None and not (isinstance(sizes, list) and all(map(_is_int, sizes))):
+        raise ParseError(str(path), "cluster_sizes", "expected a JSON array of integers")
     try:
         problem = HibProblem(prior, conds, tuple(sizes) if sizes else None)
     except (TypeError, ValueError) as exc:
         raise ParseError(str(path), "cluster_sizes", str(exc))
     if "n" in payload:
         n = payload["n"]
-        if not isinstance(n, int) or isinstance(n, bool):
+        if not _is_int(n):
             raise ParseError(str(path), "n", f"expected an integer, got {n!r}")
         if n != problem.n:
             raise ParseError(str(path), "n", f"declared {n} levels, found {problem.n}")
@@ -294,14 +313,17 @@ def load_hierarchy(path) -> TaskHierarchy:
                     else None
                 ),
                 spatial=spatial,
-                children=tuple(entry.get("children", ())),
+                children=_id_list(entry.get("children", []), path, f"entities[{i}].children"),
             )
+        except ParseError:
+            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(str(path), f"entities[{i}]", str(exc))
         entities[ent.id] = ent
-    roots = tuple(_require_list(payload, "roots", path))
+    roots = _id_list(_require(payload, "roots", path), path, "roots")
+    null_task = _optional_id(payload.get("null_task"), path, "null_task")
     try:
-        return TaskHierarchy(entities, roots, payload.get("null_task"))
+        return TaskHierarchy(entities, roots, null_task)
     except ValueError as exc:
         raise ParseError(str(path), "entities", str(exc))
 
@@ -341,9 +363,9 @@ def load_graph(path) -> SceneGraph:
                 id=str(entry["id"]),
                 layer=int(entry["layer"]),
                 cluster=entry.get("cluster"),
-                entity_id=entry.get("entity"),
+                entity_id=_optional_id(entry.get("entity"), path, f"nodes[{i}].entity"),
                 confidence=entry.get("confidence"),
-                parent=entry.get("parent"),
+                parent=_optional_id(entry.get("parent"), path, f"nodes[{i}].parent"),
                 bbox=(
                     _box_from(entry["bbox"], path, f"nodes[{i}].bbox")
                     if "bbox" in entry
@@ -359,7 +381,7 @@ def load_graph(path) -> SceneGraph:
             raise ParseError(str(path), f"nodes[{i}]", str(exc))
         nodes[node.id] = node
     null_entities = (
-        _require_list(payload, "null_entities", path)
+        _id_list(payload["null_entities"], path, "null_entities")
         if "null_entities" in payload
         else ()
     )

@@ -4,6 +4,7 @@ pruning passes that keep only the most confident task-aligned nodes."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -40,14 +41,23 @@ class SceneNode:
 
 @dataclass(frozen=True)
 class SceneGraph:
-    """Layered graph keyed by stable node ids; parent links only (each node
-    has at most one parent)."""
+    """Layered graph keyed by stable node ids. Nodes store only their parent
+    link; the parent -> child-ids map is derived on first use, in node order,
+    and cached, so `nodes` must not change after that. Every pass builds a
+    new graph instead."""
 
     nodes: dict[str, SceneNode]
     null_entity_ids: frozenset[str] = frozenset()
 
+    @cached_property
+    def _child_ids(self) -> dict[str | None, list[str]]:
+        out: dict = {}
+        for nid, node in self.nodes.items():
+            out.setdefault(node.parent, []).append(nid)
+        return out
+
     def children(self, node_id: str) -> list[SceneNode]:
-        return [n for n in self.nodes.values() if n.parent == node_id]
+        return [self.nodes[cid] for cid in self._child_ids.get(node_id, ())]
 
     def layer_nodes(self, layer: int) -> list[SceneNode]:
         return [n for n in self.nodes.values() if n.layer == layer]
@@ -56,11 +66,10 @@ class SceneGraph:
         out: set[str] = set()
         stack = [node_id]
         while stack:
-            nid = stack.pop()
-            for child in self.children(nid):
-                if child.id not in out:
-                    out.add(child.id)
-                    stack.append(child.id)
+            for cid in self._child_ids.get(stack.pop(), ()):
+                if cid not in out:
+                    out.add(cid)
+                    stack.append(cid)
         return out
 
     def alignment(self) -> dict[str, str]:
@@ -70,16 +79,6 @@ class SceneGraph:
             for n in self.nodes.values()
             if n.layer != LAYER_PRIMITIVE and n.entity_id is not None
         }
-
-    def without(self, ids) -> "SceneGraph":
-        ids = set(ids)
-        kept = {nid: n for nid, n in self.nodes.items() if nid not in ids}
-        # drop dangling parent links of surviving nodes (parents are pruned
-        # only together with their subtree, so this is just hygiene)
-        for nid, n in list(kept.items()):
-            if n.parent is not None and n.parent not in kept:
-                kept[nid] = replace(n, parent=None)
-        return SceneGraph(kept, self.null_entity_ids)
 
 
 def confidence(p_ts: float, p_s: float, p_t: float) -> float:
@@ -131,19 +130,15 @@ def bottom_up_construct(
         for layer in LAYER_KINDS
     }
 
-    # cluster membership via argmax, cascading bottom-up
-    enc1 = state.encoders[0].matrix
-    prim_cluster = {p.id: int(np.argmax(enc1[:, j])) for j, p in enumerate(primitives)}
+    # cluster membership via argmax (first index on ties), cascading bottom-up
+    clusters = np.argmax(state.encoders[0].matrix, axis=0)
+    prim_cluster = {p.id: int(c) for p, c in zip(primitives, clusters)}
     used = {LAYER_ITEM: sorted(set(prim_cluster.values()))}
-    for layer, enc in ((LAYER_SUBTASK, state.encoders[1]), (LAYER_TASK, state.encoders[2])):
-        lower = used[layer - 1]
-        used[layer] = sorted({int(np.argmax(enc.matrix[:, c])) for c in lower})
-
     parent_cluster = {}
     for layer, enc in ((LAYER_SUBTASK, state.encoders[1]), (LAYER_TASK, state.encoders[2])):
-        parent_cluster[layer] = {
-            c: int(np.argmax(enc.matrix[:, c])) for c in used[layer - 1]
-        }
+        top = np.argmax(enc.matrix, axis=0)
+        parent_cluster[layer] = {c: int(top[c]) for c in used[layer - 1]}
+        used[layer] = sorted(set(parent_cluster[layer].values()))
 
     for layer in (LAYER_TASK, LAYER_SUBTASK, LAYER_ITEM):
         dec = state.decoders[layer - 1].matrix
@@ -188,116 +183,115 @@ def bottom_up_construct(
 
 
 def _refresh_geometry(graph: SceneGraph) -> SceneGraph:
-    """Recompute bbox/centroid of cluster nodes from their descendants."""
+    """Recompute bbox/centroid of cluster nodes from their children, layer
+    by layer from items upward."""
     nodes = dict(graph.nodes)
     for layer in (LAYER_ITEM, LAYER_SUBTASK, LAYER_TASK):
-        for node in [n for n in nodes.values() if n.layer == layer]:
-            child_boxes = [
-                c.bbox
-                for c in nodes.values()
-                if c.parent == node.id and c.bbox is not None
-            ]
-            if child_boxes:
-                box = union_box(child_boxes)
-                nodes[node.id] = replace(
-                    node, bbox=box, centroid=tuple(box.center)
-                )
-            else:
-                nodes[node.id] = replace(node, bbox=None, centroid=None)
+        for node in graph.layer_nodes(layer):
+            boxes = [nodes[cid].bbox for cid in graph._child_ids.get(node.id, ())]
+            boxes = [b for b in boxes if b is not None]
+            box = union_box(boxes) if boxes else None
+            centroid = None if box is None else tuple(box.center)
+            nodes[node.id] = replace(node, bbox=box, centroid=centroid)
     return SceneGraph(nodes, graph.null_entity_ids)
+
+
+def _rank(node: SceneNode) -> tuple[float, str]:
+    """Sort key of the pruning passes: higher confidence first (None counts
+    as 0), then the lower id."""
+    return (-(node.confidence or 0.0), node.id)
+
+
+def _overlap_groups(nodes: list[SceneNode]) -> list[list[SceneNode]]:
+    """Group boxed nodes until no two groups' union boxes intersect."""
+    groups: list[tuple[list[SceneNode], Box]] = []  # pairwise disjoint boxes
+    for node in nodes:
+        members, box = [node], node.bbox
+        # absorb every group the box meets; the grown box may meet more
+        while meets := [g for g in groups if g[1].intersects(box)]:
+            groups = [g for g in groups if g not in meets]
+            for group_members, group_box in meets:
+                members += group_members
+                box = box.union(group_box)
+        groups.append((members, box))
+    return [members for members, _ in groups]
 
 
 def _merge_overlapping(graph: SceneGraph) -> SceneGraph:
     """Merge same-entity nodes whose boxes intersect, one layer at a time
     from items upward so derived geometry is current at each layer.
 
-    The higher-confidence node survives (lowest id on ties), children are
-    re-parented onto it, and its confidence becomes the max of the pair."""
+    Groups grow on their union boxes until no two groups of an entity
+    intersect. Union boxes only grow, so the groups do not depend on merge
+    order; a union-find over the original boxes would miss the chains that
+    the growth creates. Each group's first node by `_rank` survives with the
+    group's maximum confidence and adopts every member's children."""
     for layer in (LAYER_ITEM, LAYER_SUBTASK, LAYER_TASK):
-        nodes = dict(graph.nodes)
-        changed = True
-        while changed:
-            changed = False
-            group = sorted(
-                (n for n in nodes.values() if n.layer == layer),
-                key=lambda n: n.id,
-            )
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    a, b = group[i], group[j]
-                    if a.entity_id != b.entity_id:
-                        continue
-                    if a.bbox is None or b.bbox is None or not a.bbox.intersects(b.bbox):
-                        continue
-                    if (b.confidence or 0.0) > (a.confidence or 0.0):
-                        keep, drop = b, a
-                    else:
-                        keep, drop = a, b  # ties keep the lower id (a sorts first)
-                    for nid, n in list(nodes.items()):
-                        if n.parent == drop.id:
-                            nodes[nid] = replace(n, parent=keep.id)
-                    nodes[keep.id] = replace(
-                        keep,
-                        confidence=max(keep.confidence or 0.0, drop.confidence or 0.0),
-                        bbox=keep.bbox.union(drop.bbox),
-                    )
-                    del nodes[drop.id]
-                    changed = True
-                    break
-                if changed:
-                    break
+        by_entity: dict[str | None, list[SceneNode]] = {}
+        for node in graph.layer_nodes(layer):
+            if node.bbox is not None:
+                by_entity.setdefault(node.entity_id, []).append(node)
+        survivor: dict[str, str] = {}  # merged-away id -> surviving id
+        merged: dict[str, SceneNode] = {}
+        for same_entity in by_entity.values():
+            for group in _overlap_groups(same_entity):
+                if len(group) > 1:
+                    keep = min(group, key=_rank)
+                    conf = max(n.confidence or 0.0 for n in group)
+                    merged[keep.id] = replace(keep, confidence=conf)
+                    survivor.update((n.id, keep.id) for n in group if n is not keep)
+        nodes = {}
+        for nid, node in graph.nodes.items():
+            if nid not in survivor:
+                node = merged.get(nid, node)
+                if node.parent in survivor:
+                    node = replace(node, parent=survivor[node.parent])
+                nodes[nid] = node
         graph = _refresh_geometry(SceneGraph(nodes, graph.null_entity_ids))
     return graph
 
 
 def top_down_prune(graph: SceneGraph) -> SceneGraph:
-    """Merge overlapping same-entity nodes, then keep a single
-    max-confidence node per task entity (top-down), then drop every subtree
-    aligned to the null task."""
+    """Merge overlapping same-entity nodes, then walk the layers top-down
+    twice: first keep the best node by `_rank` among the surviving nodes of
+    each entity, then also drop every subtree aligned to a null entity.
+
+    The null pass comes second on purpose: a node under a null-entity node
+    can still win its entity's selection, and then no node of that entity
+    survives."""
     graph = _merge_overlapping(graph)
-    for layer in (LAYER_TASK, LAYER_SUBTASK, LAYER_ITEM):
-        by_entity: dict[str, list[SceneNode]] = {}
+    top_down = (LAYER_TASK, LAYER_SUBTASK, LAYER_ITEM, LAYER_PRIMITIVE)
+    lost: set[str] = set()
+    for layer in top_down[:-1]:
+        taken: set[str] = set()  # entities whose best surviving node is seen
+        for node in sorted(graph.layer_nodes(layer), key=_rank):
+            if node.parent in lost or node.entity_id in taken:
+                lost.add(node.id)
+            elif node.entity_id is not None:
+                taken.add(node.entity_id)
+    dropped: set[str] = set()
+    null = graph.null_entity_ids
+    for layer in top_down:
         for node in graph.layer_nodes(layer):
-            if node.entity_id is not None:
-                by_entity.setdefault(node.entity_id, []).append(node)
-        doomed: set[str] = set()
-        for entity_id in sorted(by_entity):
-            group = sorted(
-                by_entity[entity_id], key=lambda n: (-(n.confidence or 0.0), n.id)
-            )
-            for loser in group[1:]:
-                doomed.add(loser.id)
-                doomed |= graph.descendants(loser.id)
-        if doomed:
-            graph = graph.without(doomed)
-    null_doomed: set[str] = set()
-    for node in graph.nodes.values():
-        if node.entity_id in graph.null_entity_ids:
-            null_doomed.add(node.id)
-            null_doomed |= graph.descendants(node.id)
-    if null_doomed:
-        graph = graph.without(null_doomed)
-    return _refresh_geometry(graph)
+            if node.id in lost or node.parent in dropped or node.entity_id in null:
+                dropped.add(node.id)
+    kept = {nid: n for nid, n in graph.nodes.items() if nid not in dropped}
+    return _refresh_geometry(SceneGraph(kept, graph.null_entity_ids))
 
 
 def prune_primitives(graph: SceneGraph) -> SceneGraph:
     """Per item node keep the max-confidence primitive plus every primitive
-    whose box intersects it; the node box becomes the union of the kept
-    boxes and its centroid the union-box center."""
-    nodes = dict(graph.nodes)
+    whose box intersects it; the geometry refresh then makes the node box
+    the union of the kept boxes and its centroid the union-box center."""
     doomed: set[str] = set()
-    for item in sorted((n for n in graph.layer_nodes(LAYER_ITEM)), key=lambda n: n.id):
+    for item in sorted(graph.layer_nodes(LAYER_ITEM), key=lambda n: n.id):
         prims = sorted(
             (n for n in graph.children(item.id) if n.layer == LAYER_PRIMITIVE),
-            key=lambda n: (-(n.confidence or 0.0), n.id),
+            key=_rank,
         )
         if not prims:
             raise StructuralError(f"item node {item.id!r} has no primitives")
         best = prims[0]
-        kept = [p for p in prims if p is best or p.bbox.intersects(best.bbox)]
-        doomed |= {p.id for p in prims if p not in kept}
-        box = union_box([p.bbox for p in kept])
-        nodes[item.id] = replace(item, bbox=box, centroid=tuple(box.center))
-    for nid in doomed:
-        del nodes[nid]
+        doomed |= {p.id for p in prims[1:] if not p.bbox.intersects(best.bbox)}
+    nodes = {nid: n for nid, n in graph.nodes.items() if nid not in doomed}
     return _refresh_geometry(SceneGraph(nodes, graph.null_entity_ids))

@@ -130,6 +130,14 @@ class SolveOptions:
     distortion: str = DISTORTION_DECODER_FIRST
 
     def __post_init__(self):
+        for name in ("min_iter", "max_iter", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        if self.max_iter < 1:
+            raise ValidationError("max_iter must be at least 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be nonnegative")
         if self.beta < 0:
             raise ValidationError("beta must be nonnegative")
         if not 0.0 <= self.alpha <= 1.0:

@@ -500,6 +500,16 @@ class TestCliMalformedFields:
             ("eval", "graph", "nodes", 5),
             ("eval", "graph", "null_entities", 5),
             ("eval", "reference", "tasks", 5),
+            ("solve", "problem", "cluster_sizes", [2.7, 5, 5]),
+            ("solve", "problem", "cluster_sizes", [5, True, 5]),
+            ("solve", "problem", "solve_options", {"max_iter": 20.5}),
+            ("solve", "problem", "solve_options", {"min_iter": True}),
+            ("solve", "problem", "solve_options", {"max_iter": 0, "min_iter": 0}),
+            ("solve", "problem", "solve_options",
+             {"seed": 1.5, "init": "seeded_perturbation"}),
+            ("pipeline", "hierarchy", "roots", [["x"]]),
+            ("pipeline", "hierarchy", "null_task", ["x"]),
+            ("eval", "graph", "null_entities", [["x"]]),
         ],
     )
     def test_exits_one_naming_the_field(
@@ -513,3 +523,28 @@ class TestCliMalformedFields:
         argv = [str(a) for a in self._argv(command, inputs, tmp_path)]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}: {field}: ")
+
+    @pytest.mark.parametrize(
+        "command, role, entries, key",
+        [
+            ("pipeline", "hierarchy", "entities", "children"),
+            ("eval", "graph", "nodes", "parent"),
+            ("eval", "graph", "nodes", "entity"),
+        ],
+    )
+    def test_unhashable_id_in_an_entry_names_it(
+        self, inputs, tmp_path, capsys, command, role, entries, key
+    ):
+        payload = json.loads(inputs[role].read_text())
+        payload[entries][1][key] = [["x"]] if key == "children" else ["x"]
+        bad = tmp_path / f"bad_{role}.json"
+        bad.write_text(json.dumps(payload))
+        inputs[role] = bad
+        argv = [str(a) for a in self._argv(command, inputs, tmp_path)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: {entries}[1].{key}: ")
+
+    def test_zero_max_iter_flag_exits_one(self, inputs, tmp_path, capsys):
+        argv = [str(a) for a in self._argv("solve", inputs, tmp_path)]
+        assert main(argv + ["--min-iter", "0", "--max-iter", "0"]) == 1
+        assert capsys.readouterr().err == "error: max_iter must be at least 1\n"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,15 @@ from hibtask import (
     solve_hib,
     top_down_prune,
 )
-from hibtask.scene_graph import LAYER_ITEM, LAYER_PRIMITIVE, LAYER_SUBTASK, LAYER_TASK
+from hibtask.geometry import union_box
+from hibtask.scene_graph import (
+    LAYER_ITEM,
+    LAYER_NAMES,
+    LAYER_PRIMITIVE,
+    LAYER_SUBTASK,
+    LAYER_TASK,
+    _merge_overlapping,
+)
 from tests.conftest import random_problem
 
 
@@ -255,6 +265,183 @@ class TestTopDownPrune:
         assert survivor.confidence == pytest.approx(0.9)
         prims = {n.id for n in graph.children(survivor.id)}
         assert prims == {"prim:a", "prim:b"}
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the restart-loop passes that the single-walk passes replace. Both
+# must give the same nodes, in the same order, on every input.
+
+
+def _oracle_refresh(graph):
+    nodes = dict(graph.nodes)
+    for layer in (LAYER_ITEM, LAYER_SUBTASK, LAYER_TASK):
+        for node in [n for n in nodes.values() if n.layer == layer]:
+            boxes = [
+                c.bbox for c in nodes.values() if c.parent == node.id and c.bbox is not None
+            ]
+            if boxes:
+                box = union_box(boxes)
+                nodes[node.id] = replace(node, bbox=box, centroid=tuple(box.center))
+            else:
+                nodes[node.id] = replace(node, bbox=None, centroid=None)
+    return SceneGraph(nodes, graph.null_entity_ids)
+
+
+def _oracle_merge(graph):
+    """Merge the first intersecting same-entity pair in id order, rescan."""
+    for layer in (LAYER_ITEM, LAYER_SUBTASK, LAYER_TASK):
+        nodes = dict(graph.nodes)
+        changed = True
+        while changed:
+            changed = False
+            group = sorted((n for n in nodes.values() if n.layer == layer), key=lambda n: n.id)
+            pairs = ((a, b) for i, a in enumerate(group) for b in group[i + 1:])
+            for a, b in pairs:
+                if a.entity_id != b.entity_id or a.bbox is None or b.bbox is None:
+                    continue
+                if not a.bbox.intersects(b.bbox):
+                    continue
+                keep, drop = (b, a) if (b.confidence or 0.0) > (a.confidence or 0.0) else (a, b)
+                for nid, n in list(nodes.items()):
+                    if n.parent == drop.id:
+                        nodes[nid] = replace(n, parent=keep.id)
+                nodes[keep.id] = replace(
+                    keep,
+                    confidence=max(keep.confidence or 0.0, drop.confidence or 0.0),
+                    bbox=keep.bbox.union(drop.bbox),
+                )
+                del nodes[drop.id]
+                changed = True
+                break
+        graph = _oracle_refresh(SceneGraph(nodes, graph.null_entity_ids))
+    return graph
+
+
+def _oracle_descendants(nodes, node_id):
+    out, stack = set(), [node_id]
+    while stack:
+        nid = stack.pop()
+        for c in nodes.values():
+            if c.parent == nid and c.id not in out:
+                out.add(c.id)
+                stack.append(c.id)
+    return out
+
+
+def _oracle_without(graph, ids):
+    kept = {nid: n for nid, n in graph.nodes.items() if nid not in ids}
+    for nid, n in list(kept.items()):
+        if n.parent is not None and n.parent not in kept:
+            kept[nid] = replace(n, parent=None)
+    return SceneGraph(kept, graph.null_entity_ids)
+
+
+def _oracle_top_down_prune(graph):
+    graph = _oracle_merge(graph)
+    for layer in (LAYER_TASK, LAYER_SUBTASK, LAYER_ITEM):
+        by_entity = {}
+        for node in graph.layer_nodes(layer):
+            if node.entity_id is not None:
+                by_entity.setdefault(node.entity_id, []).append(node)
+        doomed = set()
+        for entity_id in sorted(by_entity):
+            group = sorted(by_entity[entity_id], key=lambda n: (-(n.confidence or 0.0), n.id))
+            for loser in group[1:]:
+                doomed.add(loser.id)
+                doomed |= _oracle_descendants(graph.nodes, loser.id)
+        graph = _oracle_without(graph, doomed)
+    null_doomed = set()
+    for node in graph.nodes.values():
+        if node.entity_id in graph.null_entity_ids:
+            null_doomed.add(node.id)
+            null_doomed |= _oracle_descendants(graph.nodes, node.id)
+    return _oracle_refresh(_oracle_without(graph, null_doomed))
+
+
+def _random_box(rng, span):
+    """A floor-plan stick, long along x or y, so that the union box of two
+    crossing sticks reaches corners that neither of them reaches."""
+    lo = np.append(rng.uniform(0.0, span, size=2), 0.0)
+    size = np.append(rng.uniform(0.05, 0.3, size=2), 1.0)
+    size[rng.integers(2)] = rng.uniform(1.0, 3.0)
+    return Box(tuple(lo), tuple(lo + size))
+
+
+def random_layered_graph(rng):
+    """A task/subtask/item/primitive graph with few entities per layer (so
+    many same-entity duplicates), heavily overlapping boxes, tied and None
+    confidences, unboxed cluster nodes, and null entities."""
+    confidences = (None, 0.0, 0.25, 0.5, 0.5, 0.9)
+    span = float(rng.uniform(1.0, 4.0))
+    n_entities = int(rng.integers(1, 4))
+    boxed = float(rng.uniform(0.2, 0.9))  # share of cluster nodes given a box
+    nodes = []
+    parents = [None]
+    for layer in (LAYER_TASK, LAYER_SUBTASK, LAYER_ITEM, LAYER_PRIMITIVE):
+        count = int(rng.integers(1, 5 if layer == LAYER_TASK else 16))
+        ids = [f"{LAYER_NAMES[layer]}:{i}" for i in range(count)]
+        for i, nid in enumerate(ids):
+            entity = None
+            if layer != LAYER_PRIMITIVE and rng.random() > 0.05:
+                entity = f"E{layer}.{int(rng.integers(n_entities))}"
+            box = None
+            if layer == LAYER_PRIMITIVE or rng.random() < boxed:
+                box = _random_box(rng, span)
+            nodes.append(SceneNode(
+                nid, layer, i, entity,
+                confidences[int(rng.integers(len(confidences)))],
+                parents[int(rng.integers(len(parents)))],
+                box, None if box is None else tuple(box.center),
+            ))
+        parents = ids
+    entities = sorted({n.entity_id for n in nodes if n.entity_id is not None})
+    null = {e for e in entities if rng.random() < 0.15}
+    order = rng.permutation(len(nodes))
+    return SceneGraph({nodes[i].id: nodes[i] for i in order}, frozenset(null))
+
+
+def _node_list(graph):
+    return list(graph.nodes.items())
+
+
+class TestSingleWalkPassesMatchOracle:
+    def test_random_layered_graphs(self):
+        rng = np.random.default_rng(2020)
+        for _ in range(200):
+            graph = random_layered_graph(rng)
+            assert _node_list(_merge_overlapping(graph)) == _node_list(_oracle_merge(graph))
+            want = _oracle_top_down_prune(graph)
+            got = top_down_prune(graph)
+            assert _node_list(got) == _node_list(want)
+            assert got.null_entity_ids == want.null_entity_ids
+
+    def test_growth_chain_merges_all_three(self):
+        # A meets B, and their union box meets C, but neither A nor B meets C
+        boxes = {
+            "a": Box((0, 0, 0), (1, 1, 1)),
+            "b": Box((0.9, 0.9, 0), (3, 1.5, 1)),
+            "c": Box((2, 0, 0), (3, 0.5, 1)),
+        }
+        assert not boxes["a"].intersects(boxes["c"])
+        assert not boxes["b"].intersects(boxes["c"])
+        nodes = {
+            "task:0": SceneNode("task:0", 3, 0, "T", 1.0, None),
+            "subtask:0": SceneNode("subtask:0", 2, 0, "S", 1.0, "task:0"),
+        }
+        for i, (name, box) in enumerate(boxes.items()):
+            nodes[f"item:{i}"] = SceneNode(
+                f"item:{i}", 1, i, "I", 0.5, "subtask:0", box, tuple(box.center)
+            )
+            nodes[f"prim:{name}"] = SceneNode(
+                f"prim:{name}", 0, None, None, 0.5, f"item:{i}", box, tuple(box.center)
+            )
+        graph = SceneGraph(nodes)
+        merged = _merge_overlapping(graph)
+        assert _node_list(merged) == _node_list(_oracle_merge(graph))
+        items = merged.layer_nodes(LAYER_ITEM)
+        assert [n.id for n in items] == ["item:0"]  # equal confidence: lowest id
+        assert {c.id for c in merged.children("item:0")} == {"prim:a", "prim:b", "prim:c"}
+        assert items[0].bbox == Box((0, 0, 0), (3, 1.5, 1))
 
 
 class TestPrunePrimitives:

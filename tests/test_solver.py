@@ -10,6 +10,7 @@ from hibtask import (
     Dist,
     HibProblem,
     SolveOptions,
+    ValidationError,
     derive_state,
     distortion,
     effective_cluster_count,
@@ -206,6 +207,35 @@ class TestUpdateLevel:
             update_level(problem, state, 1, opts)
         assert err.value.level == 1
         assert err.value.column == 0
+
+
+class TestSolveOptions:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("min_iter", 2.0),
+            ("min_iter", True),
+            ("max_iter", 20.5),
+            ("max_iter", "20"),
+            ("max_iter", np.int64(20)),
+            ("seed", 1.5),
+            ("seed", None),
+            ("seed", False),
+        ],
+    )
+    def test_counts_and_seed_must_be_integers(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            SolveOptions(**{field: value})
+
+    def test_max_iter_must_be_positive(self):
+        with pytest.raises(ValidationError, match="max_iter must be at least 1"):
+            SolveOptions(min_iter=0, max_iter=0)
+        assert SolveOptions(min_iter=0, max_iter=1).max_iter == 1
+
+    def test_seed_must_be_nonnegative(self):
+        # numpy's generator rejects a negative seed with a bare ValueError
+        with pytest.raises(ValidationError, match="seed must be nonnegative"):
+            SolveOptions(seed=-1)
 
 
 class TestSolveHib:
