@@ -14,11 +14,23 @@ plain scalars to the C encoder with an item separator that carries the
 newline and indentation of its depth. Floats therefore still go through
 ``float.__repr__``, and non-finite floats still come out as ``NaN`` and
 ``Infinity``. Payload keys are always ``str``.
+
+Every loader reads its fields through one reader: inside ``_field(path,
+name)`` a KeyError, TypeError, ValueError or OverflowError becomes
+``ParseError(path, name, ...)``, and an inner ParseError passes through,
+so the innermost block names the field (``key``, ``key[i]`` or
+``key[i].member``). ``_of`` and ``_items`` check JSON types; a bool is
+never an integer or a number. ``_numbers`` reads numeric arrays with
+numpy's type inference, which rejects strings, nulls, all-bool and ragged
+arrays but upcasts a bool mixed in with numbers. No value is converted
+before its type is checked, and the constructors check their invariants.
 """
 
 from __future__ import annotations
 
 import json
+import reprlib
+from contextlib import AbstractContextManager
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -104,34 +116,85 @@ def _load(path, expected: str) -> dict:
     return payload
 
 
-def _require(payload: dict, key: str, path) -> object:
-    if key not in payload:
-        raise ParseError(str(path), key, "missing required field")
-    return payload[key]
+class _field(AbstractContextManager):
+    """Report a bad value read or built in the block as ParseError at ``name``."""
+
+    def __init__(self, path, name: str):
+        self.path, self.name = path, name
+
+    def __exit__(self, kind, exc, traceback):
+        if exc is None or isinstance(exc, ParseError):
+            return
+        if isinstance(exc, (KeyError, TypeError, ValueError, OverflowError)):
+            missing = isinstance(exc, KeyError)
+            message = f"missing required field {exc}" if missing else str(exc)
+            raise ParseError(str(self.path), self.name, message) from exc
 
 
-def _require_list(payload: dict, key: str, path) -> list:
-    value = _require(payload, key, path)
-    if not isinstance(value, list):
-        raise ParseError(str(path), key, "expected a JSON array")
+# JSON type -> its name and the exact Python types json.loads gives for it
+_JSON_TYPES = {
+    str: ("string", {str}),
+    int: ("integer", {int}),
+    float: ("number", {int, float}),
+    bool: ("boolean", {bool}),
+    list: ("array", {list}),
+    dict: ("object", {dict}),
+}
+_REQUIRED = object()
+
+
+def _of(value, kind: type, nullable: bool = False):
+    """``value`` if it has the JSON type ``kind``, or is null and ``nullable``."""
+    name, types = _JSON_TYPES[kind]
+    if type(value) not in types and not (nullable and value is None):
+        or_null = " or null" if nullable else ""
+        raise TypeError(f"expected a JSON {name}{or_null}, got {reprlib.repr(value)}")
     return value
 
 
-def _is_int(value) -> bool:
-    """A JSON integer: a Python int that is not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _id_list(value, path, field) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ParseError(str(path), field, "expected a JSON array of id strings")
+def _items(value, kind: type) -> tuple:
+    """A JSON array of ``kind`` values, as a tuple of those values."""
+    name, types = _JSON_TYPES[kind]
+    if not types.issuperset(map(type, _of(value, list))):
+        raise TypeError(f"expected a JSON array of {name}s, got {reprlib.repr(value)}")
     return tuple(value)
 
 
-def _optional_id(value, path, field) -> str | None:
-    if value is not None and not isinstance(value, str):
-        raise ParseError(str(path), field, "expected an id string or null")
-    return value
+def _numbers(value, ndim: int) -> np.ndarray:
+    """A JSON array of numbers nested ``ndim`` deep, as a numpy array."""
+    arr = np.array(value)
+    if arr.dtype.kind not in "iuf" or arr.ndim != ndim:
+        raise TypeError(
+            f"expected a {ndim}-d JSON array of numbers, got {reprlib.repr(value)}"
+        )
+    return arr
+
+
+def _get(path, at: str, entry: dict, key: str, kind: type, default=_REQUIRED):
+    """Member ``key`` of the object at ``at`` (the top level when empty), of
+    JSON type ``kind`` and named ``at.key``. A missing member gives
+    ``default`` if there is one, and may be null if that default is None."""
+    with _field(path, f"{at}.{key}" if at else key):
+        value = entry[key] if default is _REQUIRED or key in entry else default
+        return _of(value, kind, nullable=default is None)
+
+
+def _objects(path, at: str, entry: dict, key: str, default=_REQUIRED):
+    """``(place, item)`` for each item of the array member ``key``, as read
+    by ``_get``; each item must be a JSON object, named ``at.key[i]``."""
+    name = f"{at}.{key}" if at else key
+    for i, item in enumerate(_get(path, at, entry, key, list, default)):
+        with _field(path, f"{name}[{i}]"):
+            _of(item, dict)
+        yield f"{name}[{i}]", item
+
+
+def _new_id(path, at: str, entry: dict, seen) -> str:
+    """The ``id`` member of the object at ``at``, not yet in ``seen``."""
+    with _field(path, f"{at}.id"):
+        if _of(entry["id"], str) in seen:
+            raise ValueError(f"duplicate id {entry['id']!r}")
+        return entry["id"]
 
 
 def _table_payload(table: CondTable) -> dict:
@@ -143,15 +206,12 @@ def _table_payload(table: CondTable) -> dict:
     return out
 
 
-def _table_from(payload, path, field) -> CondTable:
-    try:
-        return CondTable(
-            np.array(payload["matrix"], dtype=float),
-            tuple(payload["row_labels"]) if "row_labels" in payload else None,
-            tuple(payload["col_labels"]) if "col_labels" in payload else None,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(str(path), field, str(exc))
+def _table(value) -> CondTable:
+    """A CondTable from ``{"matrix", "row_labels"?, "col_labels"?}``."""
+    _of(value, dict)
+    rows = _items(value["row_labels"], str) if "row_labels" in value else None
+    cols = _items(value["col_labels"], str) if "col_labels" in value else None
+    return CondTable(_numbers(value["matrix"], 2), rows, cols)
 
 
 # ---------------------------------------------------------------- problems
@@ -182,38 +242,26 @@ def save_problem(problem: HibProblem, path, options: SolveOptions | None = None)
 
 def load_problem(path) -> tuple[HibProblem, SolveOptions | None]:
     payload = _load(path, "problem")
-    try:
-        prior = Dist(
-            np.array(_require(payload, "prior", path), dtype=float),
-            tuple(payload["prior_labels"]) if "prior_labels" in payload else None,
-        )
-    except ParseError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ParseError(str(path), "prior", str(exc))
-    conds = tuple(
-        _table_from(t, path, f"task_conditionals[{i}]")
-        for i, t in enumerate(_require_list(payload, "task_conditionals", path))
-    )
-    sizes = payload.get("cluster_sizes")
-    if sizes is not None and not (isinstance(sizes, list) and all(map(_is_int, sizes))):
-        raise ParseError(str(path), "cluster_sizes", "expected a JSON array of integers")
-    try:
-        problem = HibProblem(prior, conds, tuple(sizes) if sizes else None)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(str(path), "cluster_sizes", str(exc))
-    if "n" in payload:
-        n = payload["n"]
-        if not _is_int(n):
-            raise ParseError(str(path), "n", f"expected an integer, got {n!r}")
-        if n != problem.n:
-            raise ParseError(str(path), "n", f"declared {n} levels, found {problem.n}")
+    with _field(path, "prior_labels"):
+        labels = _items(payload["prior_labels"], str) if "prior_labels" in payload else None
+    with _field(path, "prior"):
+        prior = Dist(_numbers(payload["prior"], 1), labels)
+    conds = []
+    for i, table in enumerate(_get(path, "", payload, "task_conditionals", list)):
+        with _field(path, f"task_conditionals[{i}]"):
+            conds.append(_table(table))
+            if conds[-1].n_cols != len(prior):
+                raise ValueError(f"{conds[-1].n_cols} columns, prior has {len(prior)}")
+    sizes = _get(path, "", payload, "cluster_sizes", list, default=None)
+    with _field(path, "cluster_sizes"):
+        problem = HibProblem(prior, tuple(conds), _items(sizes or [], int) or None)
+    with _field(path, "n"):
+        if _of(payload.get("n", problem.n), int) != problem.n:
+            raise ValueError(f"declared {payload['n']} levels, found {problem.n}")
     options = None
     if "solve_options" in payload:
-        try:
-            options = SolveOptions(**payload["solve_options"])
-        except (TypeError, ValueError) as exc:
-            raise ParseError(str(path), "solve_options", str(exc))
+        with _field(path, "solve_options"):
+            options = SolveOptions(**_of(payload["solve_options"], dict))
     return problem, options
 
 
@@ -224,11 +272,10 @@ def _box_payload(box: Box) -> dict:
     return {"min": list(box.lo), "max": list(box.hi)}
 
 
-def _box_from(payload, path, field) -> Box:
-    try:
-        return Box(tuple(payload["min"]), tuple(payload["max"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(str(path), field, str(exc))
+def _box(value) -> Box:
+    """A Box from ``{"min", "max"}``."""
+    _of(value, dict)
+    return Box(_items(value["min"], float), _items(value["max"], float))
 
 
 def save_scene(primitives, path):
@@ -248,22 +295,18 @@ def save_scene(primitives, path):
 
 def load_scene(path) -> list[Primitive]:
     payload = _load(path, "scene")
-    out = []
-    for i, entry in enumerate(_require_list(payload, "primitives", path)):
-        try:
-            out.append(
-                Primitive(
-                    id=str(entry["id"]),
-                    centroid=tuple(entry["centroid"]),
-                    bbox=_box_from(entry["bbox"], path, f"primitives[{i}].bbox"),
-                    embedding=np.array(entry["embedding"], dtype=float),
-                )
-            )
-        except ParseError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(str(path), f"primitives[{i}]", str(exc))
-    return out
+    primitives = {}
+    for at, entry in _objects(path, "", payload, "primitives"):
+        pid = _new_id(path, at, entry, primitives)
+        with _field(path, f"{at}.centroid"):
+            centroid = _items(entry["centroid"], float)
+        with _field(path, f"{at}.bbox"):
+            bbox = _box(entry["bbox"])
+        with _field(path, f"{at}.embedding"):
+            embedding = _numbers(entry["embedding"], 1)
+        with _field(path, at):
+            primitives[pid] = Primitive(pid, centroid, bbox, embedding)
+    return list(primitives.values())
 
 
 # ------------------------------------------------------------- hierarchies
@@ -295,37 +338,26 @@ def save_hierarchy(hierarchy: TaskHierarchy, path):
 def load_hierarchy(path) -> TaskHierarchy:
     payload = _load(path, "hierarchy")
     entities = {}
-    for i, entry in enumerate(_require_list(payload, "entities", path)):
-        try:
-            spatial = None
-            if "spatial" in entry:
-                spatial = Spatial(
-                    tuple(entry["spatial"]["position"]),
-                    float(entry["spatial"]["radius"]),
-                )
-            ent = TaskEntity(
-                id=str(entry["id"]),
-                kind=str(entry["kind"]),
-                text=str(entry["text"]),
-                embedding=(
-                    np.array(entry["embedding"], dtype=float)
-                    if "embedding" in entry
-                    else None
-                ),
-                spatial=spatial,
-                children=_id_list(entry.get("children", []), path, f"entities[{i}].children"),
-            )
-        except ParseError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(str(path), f"entities[{i}]", str(exc))
-        entities[ent.id] = ent
-    roots = _id_list(_require(payload, "roots", path), path, "roots")
-    null_task = _optional_id(payload.get("null_task"), path, "null_task")
-    try:
+    for at, entry in _objects(path, "", payload, "entities"):
+        eid = _new_id(path, at, entry, entities)
+        kind = _get(path, at, entry, "kind", str)
+        text = _get(path, at, entry, "text", str)
+        with _field(path, f"{at}.embedding"):
+            embedding = _numbers(entry["embedding"], 1) if "embedding" in entry else None
+        spatial = None
+        if "spatial" in entry:
+            with _field(path, f"{at}.spatial"):
+                s = _of(entry["spatial"], dict)
+                spatial = Spatial(_items(s["position"], float), _of(s["radius"], float))
+        with _field(path, f"{at}.children"):
+            children = _items(entry.get("children", []), str)
+        with _field(path, at):
+            entities[eid] = TaskEntity(eid, kind, text, embedding, spatial, children)
+    with _field(path, "roots"):
+        roots = _items(payload["roots"], str)
+    null_task = _get(path, "", payload, "null_task", str, default=None)
+    with _field(path, "entities"):
         return TaskHierarchy(entities, roots, null_task)
-    except ValueError as exc:
-        raise ParseError(str(path), "entities", str(exc))
 
 
 # ------------------------------------------------------------------ graphs
@@ -357,35 +389,25 @@ def save_graph(graph: SceneGraph, path):
 def load_graph(path) -> SceneGraph:
     payload = _load(path, "graph")
     nodes = {}
-    for i, entry in enumerate(_require_list(payload, "nodes", path)):
-        try:
-            node = SceneNode(
-                id=str(entry["id"]),
-                layer=int(entry["layer"]),
-                cluster=entry.get("cluster"),
-                entity_id=_optional_id(entry.get("entity"), path, f"nodes[{i}].entity"),
-                confidence=entry.get("confidence"),
-                parent=_optional_id(entry.get("parent"), path, f"nodes[{i}].parent"),
-                bbox=(
-                    _box_from(entry["bbox"], path, f"nodes[{i}].bbox")
-                    if "bbox" in entry
-                    else None
-                ),
-                centroid=(
-                    tuple(entry["centroid"]) if "centroid" in entry else None
-                ),
-            )
-        except ParseError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(str(path), f"nodes[{i}]", str(exc))
-        nodes[node.id] = node
-    null_entities = (
-        _id_list(payload["null_entities"], path, "null_entities")
-        if "null_entities" in payload
-        else ()
-    )
-    return SceneGraph(nodes, frozenset(null_entities))
+    for at, entry in _objects(path, "", payload, "nodes"):
+        nid = _new_id(path, at, entry, nodes)
+        with _field(path, f"{at}.bbox"):
+            bbox = _box(entry["bbox"]) if "bbox" in entry else None
+        with _field(path, f"{at}.centroid"):
+            centroid = _items(entry["centroid"], float) if "centroid" in entry else None
+        nodes[nid] = SceneNode(
+            nid,
+            _get(path, at, entry, "layer", int),
+            _get(path, at, entry, "cluster", int, default=None),
+            _get(path, at, entry, "entity", str, default=None),
+            _get(path, at, entry, "confidence", float, default=None),
+            _get(path, at, entry, "parent", str, default=None),
+            bbox,
+            centroid,
+        )
+    with _field(path, "null_entities"):
+        null_entities = frozenset(_items(payload.get("null_entities", []), str))
+    return SceneGraph(nodes, null_entities)
 
 
 # --------------------------------------------------------------- solutions
@@ -409,36 +431,29 @@ def save_solution(state: HibState, report: SolveReport, path):
 
 def load_solution(path) -> tuple[HibState, SolveReport]:
     payload = _load(path, "solution")
-    encoders = tuple(
-        _table_from(t, path, f"encoders[{i}]")
-        for i, t in enumerate(_require_list(payload, "encoders", path))
+    levels = []
+    for key in ("encoders", "marginals", "decoders"):
+        level = []
+        for i, item in enumerate(_get(path, "", payload, key, list)):
+            with _field(path, f"{key}[{i}]"):
+                level.append(Dist(_numbers(item, 1)) if key == "marginals" else _table(item))
+        levels.append(tuple(level))
+    encoders, marginals, decoders = levels
+    rep = _get(path, "", payload, "report", dict)
+    with _field(path, "report.objective_trace"):
+        objective_trace = _items(rep["objective_trace"], float)
+    with _field(path, "report.residual_trace"):
+        residual_trace = _items(rep.get("residual_trace", []), float)
+    report = SolveReport(
+        objective_trace,
+        _get(path, "report", rep, "iterations", int),
+        _get(path, "report", rep, "converged", bool),
+        float(_get(path, "report", rep, "final_residual", float)),
+        residual_trace,
     )
-    try:
-        marginals = tuple(
-            Dist(np.array(v, dtype=float))
-            for v in _require_list(payload, "marginals", path)
-        )
-    except ParseError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ParseError(str(path), "marginals", str(exc))
-    decoders = tuple(
-        _table_from(t, path, f"decoders[{i}]")
-        for i, t in enumerate(_require_list(payload, "decoders", path))
-    )
-    rep = _require(payload, "report", path)
-    try:
-        report = SolveReport(
-            tuple(rep["objective_trace"]),
-            int(rep["iterations"]),
-            bool(rep["converged"]),
-            float(rep["final_residual"]),
-            tuple(rep.get("residual_trace", ())),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(str(path), "report", str(exc))
-    if len(marginals) != len(encoders) + 1 or len(decoders) != len(encoders):
-        raise ParseError(str(path), "marginals", "level counts are inconsistent")
+    with _field(path, "marginals"):
+        if len(marginals) != len(encoders) + 1 or len(decoders) != len(encoders):
+            raise ValueError("level counts are inconsistent")
     return HibState(encoders, marginals, decoders), report
 
 
@@ -456,17 +471,13 @@ def save_word_bank(bank: WordBank, path):
 
 def load_word_bank(path) -> WordBank:
     payload = _load(path, "word bank")
-    try:
-        return WordBank(
-            tuple(
-                (str(e["word"]), np.array(e["embedding"], dtype=float))
-                for e in _require_list(payload, "words", path)
-            )
-        )
-    except ParseError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(str(path), "words", str(exc))
+    words = []
+    for at, entry in _objects(path, "", payload, "words"):
+        word = _get(path, at, entry, "word", str)
+        with _field(path, f"{at}.embedding"):
+            words.append((word, _numbers(entry["embedding"], 1)))
+    with _field(path, "words"):
+        return WordBank(tuple(words))
 
 
 def save_oracle(oracle: TableOracle, path):
@@ -488,23 +499,18 @@ def save_oracle(oracle: TableOracle, path):
 
 def load_oracle(path) -> TableOracle:
     payload = _load(path, "oracle")
-    try:
-        scores = {
-            (str(e["context"]), str(e["item"])): float(e["score"])
-            for e in payload.get("scores", ())
-        }
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(str(path), "scores", str(exc))
-    try:
-        proposals = {
-            str(p["task"]): tuple(
-                (str(s["text"]), tuple(str(i) for i in s["items"]))
-                for s in p.get("steps", ())
-            )
-            for p in payload.get("proposals", ())
-        }
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(str(path), "proposals", str(exc))
+    scores = {}
+    for at, entry in _objects(path, "", payload, "scores", []):
+        key = (_get(path, at, entry, "context", str), _get(path, at, entry, "item", str))
+        scores[key] = float(_get(path, at, entry, "score", float))
+    proposals = {}
+    for at, entry in _objects(path, "", payload, "proposals", []):
+        steps = []
+        for step_at, step in _objects(path, at, entry, "steps", []):
+            with _field(path, f"{step_at}.items"):
+                items = _items(step["items"], str)
+            steps.append((_get(path, step_at, step, "text", str), items))
+        proposals[_get(path, at, entry, "task", str)] = tuple(steps)
     return TableOracle(scores, proposals)
 
 
@@ -534,22 +540,13 @@ def save_reference(reference: ReferenceAnnotation, path):
 def load_reference(path) -> ReferenceAnnotation:
     payload = _load(path, "reference")
     tasks = {}
-    for i, entry in enumerate(_require_list(payload, "tasks", path)):
-        try:
-            subtasks = []
-            for s in entry["subtasks"]:
-                if "box" in s:
-                    subtasks.append(
-                        ReferenceSubtask(box=_box_from(s["box"], path, "box"))
-                    )
-                else:
-                    subtasks.append(ReferenceSubtask(frozenset(s["objects"])))
-            tasks[str(entry["task"])] = tuple(subtasks)
-        except ParseError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(str(path), f"tasks[{i}]", str(exc))
-    try:
+    for at, entry in _objects(path, "", payload, "tasks"):
+        subtasks = []
+        for sub_at, sub in _objects(path, at, entry, "subtasks"):
+            with _field(path, sub_at):
+                box = _box(sub["box"]) if "box" in sub else None
+                objects = _items(sub["objects"], str) if box is None else ()
+                subtasks.append(ReferenceSubtask(objects, box))
+        tasks[_get(path, at, entry, "task", str)] = tuple(subtasks)
+    with _field(path, "tasks"):
         return ReferenceAnnotation(tasks)
-    except ValueError as exc:
-        raise ParseError(str(path), "tasks", str(exc))

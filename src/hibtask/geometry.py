@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,8 @@ class Box:
         hi = tuple(float(v) for v in self.hi)
         if len(lo) != 3 or len(hi) != 3:
             raise ValidationError("Box corners must be 3-vectors")
+        if not all(map(math.isfinite, lo + hi)):
+            raise ValidationError(f"Box corners must be finite: {lo}, {hi}")
         if any(a > b for a, b in zip(lo, hi)):
             raise ValidationError(f"Box min corner exceeds max corner: {lo} > {hi}")
         object.__setattr__(self, "lo", lo)
@@ -49,17 +52,19 @@ class Box:
         )
 
     def union(self, other: "Box") -> "Box":
-        return Box(
-            tuple(np.minimum(self.lo, other.lo)),
-            tuple(np.maximum(self.hi, other.hi)),
-        )
+        return union_box((self, other))
 
 
 def union_box(boxes) -> Box:
+    """The smallest box holding all ``boxes``. Where corners tie on an axis,
+    as 0.0 and -0.0 do, the later box's corner is kept: ``min`` and ``max``
+    return the first of tied values, so each axis is scanned in reverse."""
     boxes = list(boxes)
     if not boxes:
         raise ValidationError("union of zero boxes is undefined")
-    out = boxes[0]
-    for b in boxes[1:]:
-        out = out.union(b)
-    return out
+    if len(boxes) == 1:
+        return boxes[0]
+    return Box(
+        tuple(min(reversed(axis)) for axis in zip(*(b.lo for b in boxes))),
+        tuple(max(reversed(axis)) for axis in zip(*(b.hi for b in boxes))),
+    )

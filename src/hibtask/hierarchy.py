@@ -3,6 +3,7 @@ that feed the solver."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,8 @@ class Spatial:
         pos = tuple(float(v) for v in self.position)
         if len(pos) != 3:
             raise ValidationError("spatial position must be a 3-vector")
+        if not (all(map(math.isfinite, pos)) and math.isfinite(self.radius)):
+            raise ValidationError("spatial position and radius must be finite")
         if self.radius <= 0:
             raise ValidationError("spatial radius must be positive")
         object.__setattr__(self, "position", pos)
@@ -84,6 +87,8 @@ class Primitive:
         centroid = tuple(float(v) for v in self.centroid)
         if len(centroid) != 3:
             raise ValidationError(f"primitive {self.id!r}: centroid must be 3-vector")
+        if not all(map(math.isfinite, centroid)):
+            raise ValidationError(f"primitive {self.id!r}: centroid must be finite")
         object.__setattr__(self, "centroid", centroid)
         object.__setattr__(
             self, "embedding", _unit_embedding(self.embedding, f"primitive {self.id!r}")

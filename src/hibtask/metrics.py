@@ -45,9 +45,12 @@ class PredictedSubtask:
 
 
 def _single_grounding_correct(pred: PredictedSubtask, ref: ReferenceSubtask) -> bool:
+    """The centroid lies in the reference box, or the object sets are equal.
+    A reference without a box has objects, so an empty prediction never
+    matches it."""
     if ref.box is not None:
         return pred.centroid is not None and ref.box.contains(pred.centroid)
-    return bool(pred.objects) and pred.objects == ref.objects
+    return pred.objects == ref.objects
 
 
 def grounding_accuracy(predicted, reference: ReferenceAnnotation):
@@ -77,12 +80,6 @@ def grounding_accuracy(predicted, reference: ReferenceAnnotation):
     return correct / total, tasks_correct / len(reference.tasks)
 
 
-def _same_object_set(pred: PredictedSubtask, ref: ReferenceSubtask) -> bool:
-    if ref.box is not None:
-        return pred.centroid is not None and ref.box.contains(pred.centroid)
-    return pred.objects == ref.objects
-
-
 def hta_metrics(predicted, reference: ReferenceAnnotation):
     """(s_rec, s_prec, t_acc) for a predicted hierarchy.
 
@@ -100,7 +97,7 @@ def hta_metrics(predicted, reference: ReferenceAnnotation):
         incorrect_here = 0
         for pred in preds:
             hit = next(
-                (r for r in unmatched if _same_object_set(pred, r)), None
+                (r for r in unmatched if _single_grounding_correct(pred, r)), None
             )
             if hit is not None:
                 unmatched.remove(hit)

@@ -26,6 +26,7 @@ and +inf distortions map to exactly zero mass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,6 +135,14 @@ class SolveOptions:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
+        for name in ("beta", "alpha", "tol"):
+            value = getattr(self, name)
+            if (
+                not isinstance(value, (int, float))
+                or isinstance(value, bool)
+                or not math.isfinite(value)
+            ):
+                raise ValidationError(f"{name} must be a finite number, got {value!r}")
         if self.max_iter < 1:
             raise ValidationError("max_iter must be at least 1")
         if self.seed < 0:

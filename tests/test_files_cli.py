@@ -446,12 +446,18 @@ class TestCliPipelineAndEval:
 class TestCliMalformedFields:
     """A wrongly typed field exits 1 with ``error: <path>: <field>: ...``."""
 
+    @pytest.fixture(scope="class")
+    def solution(self, fixtures_dir, tmp_path_factory):
+        """The tutorial solution, solved once for the whole class."""
+        out = tmp_path_factory.mktemp("solution")
+        assert main(["solve", str(fixtures_dir / "tutorial" / "problem.json"),
+                     "--out", str(out / "solution.json"),
+                     "--trace", str(out / "t.jsonl")]) == 0
+        return out / "solution.json"
+
     @pytest.fixture
-    def inputs(self, fixtures_dir, tmp_path):
+    def inputs(self, fixtures_dir, solution):
         tut, pipe, met = (fixtures_dir / d for d in ("tutorial", "pipeline", "metrics"))
-        solution = tmp_path / "solution.json"
-        assert main(["solve", str(tut / "problem.json"), "--out", str(solution),
-                     "--trace", str(tmp_path / "t.jsonl")]) == 0
         return {
             "problem": tut / "problem.json",
             "solution": solution,
@@ -510,6 +516,13 @@ class TestCliMalformedFields:
             ("pipeline", "hierarchy", "roots", [["x"]]),
             ("pipeline", "hierarchy", "null_task", ["x"]),
             ("eval", "graph", "null_entities", [["x"]]),
+            ("solve", "problem", "prior", ["0.2", "0.2", "0.2", "0.2", "0.2"]),
+            ("solve", "problem", "prior_labels", "abcde"),
+            ("solve", "problem", "solve_options", {"beta": True}),
+            ("solve", "problem", "solve_options", {"beta": math.nan}),
+            ("solve", "problem", "solve_options", {"beta": math.inf}),
+            ("solve", "problem", "solve_options", {"alpha": math.nan}),
+            ("solve", "problem", "solve_options", {"tol": math.nan}),
         ],
     )
     def test_exits_one_naming_the_field(
@@ -543,6 +556,83 @@ class TestCliMalformedFields:
         argv = [str(a) for a in self._argv(command, inputs, tmp_path)]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}: {entries}[1].{key}: ")
+
+    @pytest.mark.parametrize(
+        "command, role, field, edit",
+        [
+            ("build-graph", "solution", "report.converged",
+             lambda p: p["report"].update(converged="false")),
+            ("build-graph", "solution", "report.iterations",
+             lambda p: p["report"].update(iterations=2.9)),
+            ("build-graph", "tutorial_scene", "primitives[1].id",
+             lambda p: p["primitives"][1].update(id=p["primitives"][0]["id"])),
+            ("pipeline", "hierarchy", "entities[1].id",
+             lambda p: p["entities"][1].update(id=p["entities"][0]["id"])),
+            ("eval", "graph", "nodes[1].id",
+             lambda p: p["nodes"][1].update(id=p["nodes"][0]["id"])),
+            ("pipeline", "scene", "primitives[0].id",
+             lambda p: p["primitives"][0].update(id=None)),
+            ("eval", "reference", "tasks[0].subtasks[0]",
+             lambda p: p["tasks"][0]["subtasks"][0].update(objects="abc")),
+            # one column fewer than the prior has entries
+            ("solve", "problem", "task_conditionals[0]",
+             lambda p: p["task_conditionals"][0].update(
+                 matrix=[row[:-1] for row in p["task_conditionals"][0]["matrix"]],
+                 col_labels=p["task_conditionals"][0]["col_labels"][:-1])),
+            ("solve", "problem", "task_conditionals[0]",
+             lambda p: p["task_conditionals"][0].update(row_labels="abcd")),
+            ("build-graph", "tutorial_scene", "primitives[0].bbox",
+             lambda p: p["primitives"][0]["bbox"]["min"].__setitem__(0, math.nan)),
+            ("build-graph", "tutorial_scene", "primitives[0]",
+             lambda p: p["primitives"][0]["centroid"].__setitem__(0, math.inf)),
+            ("pipeline", "hierarchy", "entities[0].spatial",
+             lambda p: p["entities"][0].update(
+                 spatial={"position": [0.0, 0.0, 0.0], "radius": math.inf})),
+            ("pipeline", "hierarchy", "entities[0].spatial",
+             lambda p: p["entities"][0].update(
+                 spatial={"position": [math.nan, 0.0, 0.0], "radius": 1.0})),
+            ("pipeline", "hierarchy", "entities[0].text",
+             lambda p: p["entities"][0].update(text=5)),
+            ("pipeline", "oracle", "scores[0].score",
+             lambda p: p["scores"][0].update(score="0.9")),
+            ("pipeline", "oracle", "scores[0].score",
+             lambda p: p["scores"][0].update(score=True)),
+            ("eval", "graph", "nodes[0].confidence",
+             lambda p: p["nodes"][0].update(confidence=True)),
+            # a one-hot embedding written as booleans
+            ("pipeline", "word_bank", "words[0].embedding",
+             lambda p: p["words"][0].update(
+                 embedding=[i == 0 for i in range(len(p["words"][0]["embedding"]))])),
+            ("eval", "graph", "nodes[0].layer",
+             lambda p: p["nodes"][0].update(layer=2.9)),
+        ],
+    )
+    def test_nested_field_exits_one_naming_it(
+        self, inputs, tmp_path, capsys, command, role, field, edit
+    ):
+        payload = json.loads(inputs[role].read_text())
+        edit(payload)
+        bad = tmp_path / f"bad_{role}.json"
+        bad.write_text(json.dumps(payload))
+        inputs[role] = bad
+        argv = [str(a) for a in self._argv(command, inputs, tmp_path)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: {field}: ")
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("solve", ["--beta", "nan"]),
+            ("solve", ["--beta", "inf"]),
+            ("solve", ["--alpha", "nan"]),
+            ("solve", ["--tol", "nan"]),
+            ("pipeline", ["--beta", "nan"]),
+        ],
+    )
+    def test_non_finite_solver_flag_exits_one(self, inputs, tmp_path, capsys, command, flags):
+        argv = [str(a) for a in self._argv(command, inputs, tmp_path)]
+        assert main(argv + flags) == 1
+        assert capsys.readouterr().err.startswith(f"error: {flags[0][2:]} must be a finite number")
 
     def test_zero_max_iter_flag_exits_one(self, inputs, tmp_path, capsys):
         argv = [str(a) for a in self._argv("solve", inputs, tmp_path)]

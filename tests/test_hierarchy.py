@@ -7,6 +7,7 @@ from hibtask import (
     Box,
     CondTable,
     Primitive,
+    Spatial,
     StructuralError,
     TaskEntity,
     TaskHierarchy,
@@ -90,6 +91,20 @@ class TestValidation:
     def test_non_unit_embedding_rejected(self):
         with pytest.raises(ValidationError):
             TaskEntity(id="i", kind="item", text="i", embedding=np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_geometry_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            Box((0.0, bad, 0.0), (1.0, 1.0, 1.0))
+        with pytest.raises(ValidationError, match="finite"):
+            Box((0.0, 0.0, 0.0), (1.0, 1.0, bad))
+        box = Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+        with pytest.raises(ValidationError, match="finite"):
+            Primitive("p", (bad, 0.5, 0.5), box, unit([1.0, 0.0]))
+        with pytest.raises(ValidationError, match="finite"):
+            Spatial((0.0, bad, 0.0), 1.0)
+        with pytest.raises(ValidationError, match="finite"):
+            Spatial((0.0, 0.0, 0.0), bad)
 
 
 class TestEmbeddingConditional:

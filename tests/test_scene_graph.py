@@ -488,6 +488,31 @@ class TestPrunePrimitives:
         with pytest.raises(StructuralError):
             prune_primitives(SceneGraph(nodes))
 
+    def test_union_keeps_the_later_signed_zero(self):
+        # 0.0 and -0.0 tie; the union keeps the later box's corner, as a
+        # left-to-right np.minimum / np.maximum fold does
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            n = int(rng.integers(1, 6))
+            los = rng.choice([-1.0, -0.0, 0.0], size=(n, 3))
+            his = rng.choice([-0.0, 0.0, 1.0], size=(n, 3))
+            boxes = [Box(tuple(lo), tuple(hi)) for lo, hi in zip(los, his)]
+            lo, hi = los[0], his[0]
+            for b_lo, b_hi in zip(los[1:], his[1:]):
+                lo, hi = np.minimum(lo, b_lo), np.maximum(hi, b_hi)
+            unions = [union_box(boxes)]
+            if n == 2:
+                unions.append(boxes[0].union(boxes[1]))
+            for got in unions:
+                assert got == Box(tuple(lo), tuple(hi))
+                assert list(np.signbit(got.lo)) == list(np.signbit(lo))
+                assert list(np.signbit(got.hi)) == list(np.signbit(hi))
+        graph = prune_primitives(self._graph_with_prims(
+            [Box((-0.0, 0, 0), (0.0, 1, 1)), Box((0.0, 0, 0), (-0.0, 1, 1))], [0.9, 0.1]
+        ))
+        item = graph.nodes["item:0"].bbox
+        assert not np.signbit(item.lo[0]) and np.signbit(item.hi[0])
+
     def test_never_enlarges_and_bbox_contains_kept(self):
         rng = np.random.default_rng(23)
         for _ in range(10):

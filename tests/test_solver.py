@@ -227,6 +227,12 @@ class TestSolveOptions:
         with pytest.raises(ValidationError, match=f"{field} must be an integer"):
             SolveOptions(**{field: value})
 
+    @pytest.mark.parametrize("field", ["beta", "alpha", "tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, True, "1"])
+    def test_rates_must_be_finite_numbers(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be a finite number"):
+            SolveOptions(**{field: value})
+
     def test_max_iter_must_be_positive(self):
         with pytest.raises(ValidationError, match="max_iter must be at least 1"):
             SolveOptions(min_iter=0, max_iter=0)
