@@ -265,8 +265,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: an argparse parser is a web of reference cycles, which a parser
+# per call would leave for the cyclic garbage collector
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except DegenerateColumnError as exc:

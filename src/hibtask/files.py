@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import reprlib
 from contextlib import AbstractContextManager
+from dataclasses import asdict
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -189,12 +190,12 @@ def _objects(path, at: str, entry: dict, key: str, default=_REQUIRED):
         yield f"{name}[{i}]", item
 
 
-def _new_id(path, at: str, entry: dict, seen) -> str:
-    """The ``id`` member of the object at ``at``, not yet in ``seen``."""
-    with _field(path, f"{at}.id"):
-        if _of(entry["id"], str) in seen:
-            raise ValueError(f"duplicate id {entry['id']!r}")
-        return entry["id"]
+def _unique(path, at: str, entry: dict, key: str, seen) -> str:
+    """The string member ``key`` of the object at ``at``, not yet in ``seen``."""
+    with _field(path, f"{at}.{key}"):
+        if _of(entry[key], str) in seen:
+            raise ValueError(f"duplicate {key} {entry[key]!r}")
+        return entry[key]
 
 
 def _table_payload(table: CondTable) -> dict:
@@ -227,16 +228,7 @@ def save_problem(problem: HibProblem, path, options: SolveOptions | None = None)
     if problem.prior.labels is not None:
         payload["prior_labels"] = list(problem.prior.labels)
     if options is not None:
-        payload["solve_options"] = {
-            "beta": options.beta,
-            "alpha": options.alpha,
-            "min_iter": options.min_iter,
-            "max_iter": options.max_iter,
-            "tol": options.tol,
-            "init": options.init,
-            "seed": options.seed,
-            "distortion": options.distortion,
-        }
+        payload["solve_options"] = asdict(options)
     _dump(payload, path)
 
 
@@ -297,7 +289,7 @@ def load_scene(path) -> list[Primitive]:
     payload = _load(path, "scene")
     primitives = {}
     for at, entry in _objects(path, "", payload, "primitives"):
-        pid = _new_id(path, at, entry, primitives)
+        pid = _unique(path, at, entry, "id", primitives)
         with _field(path, f"{at}.centroid"):
             centroid = _items(entry["centroid"], float)
         with _field(path, f"{at}.bbox"):
@@ -339,7 +331,7 @@ def load_hierarchy(path) -> TaskHierarchy:
     payload = _load(path, "hierarchy")
     entities = {}
     for at, entry in _objects(path, "", payload, "entities"):
-        eid = _new_id(path, at, entry, entities)
+        eid = _unique(path, at, entry, "id", entities)
         kind = _get(path, at, entry, "kind", str)
         text = _get(path, at, entry, "text", str)
         with _field(path, f"{at}.embedding"):
@@ -390,7 +382,7 @@ def load_graph(path) -> SceneGraph:
     payload = _load(path, "graph")
     nodes = {}
     for at, entry in _objects(path, "", payload, "nodes"):
-        nid = _new_id(path, at, entry, nodes)
+        nid = _unique(path, at, entry, "id", nodes)
         with _field(path, f"{at}.bbox"):
             bbox = _box(entry["bbox"]) if "bbox" in entry else None
         with _field(path, f"{at}.centroid"):
@@ -405,6 +397,12 @@ def load_graph(path) -> SceneGraph:
             bbox,
             centroid,
         )
+    # a child may come before its parent, so parents are checked once all are read
+    for i, node in enumerate(nodes.values()):
+        if node.parent is not None and node.parent not in nodes:
+            raise ParseError(
+                str(path), f"nodes[{i}].parent", f"no node has id {node.parent!r}"
+            )
     with _field(path, "null_entities"):
         null_entities = frozenset(_items(payload.get("null_entities", []), str))
     return SceneGraph(nodes, null_entities)
@@ -547,6 +545,6 @@ def load_reference(path) -> ReferenceAnnotation:
                 box = _box(sub["box"]) if "box" in sub else None
                 objects = _items(sub["objects"], str) if box is None else ()
                 subtasks.append(ReferenceSubtask(objects, box))
-        tasks[_get(path, at, entry, "task", str)] = tuple(subtasks)
+        tasks[_unique(path, at, entry, "task", tasks)] = tuple(subtasks)
     with _field(path, "tasks"):
         return ReferenceAnnotation(tasks)

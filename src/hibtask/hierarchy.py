@@ -99,9 +99,11 @@ class TaskHierarchy:
     """Tree of tasks, subtasks and items, with one distinguished null task.
 
     Entity enumeration (for conditional tables and graph alignment) is
-    document order: real roots first, the null task's subtree last.  The
+    document order: a pre-order walk of the real roots, then of the null
+    task if it is not among them, with children in their listed order.  The
     null task is optional so purely tabular problems can still carry a
-    hierarchy for labeling.
+    hierarchy for labeling.  The enumeration is computed once, at
+    construction, so ``entities`` must not change afterwards.
     """
 
     def __init__(self, entities, roots, null_task_id: str | None = None):
@@ -111,6 +113,8 @@ class TaskHierarchy:
         self._validate()
 
     def _validate(self):
+        """Check the tree, and record its entities per kind in document order
+        and the null task's subtree, in one walk."""
         parents: dict[str, str] = {}
         for eid, ent in self.entities.items():
             if ent.id != eid:
@@ -127,58 +131,47 @@ class TaskHierarchy:
                         f"{eid!r} ({ent.kind}) cannot parent "
                         f"{child!r} ({self.entities[child].kind})"
                     )
-        for rid in self.all_roots():
+        null = self.null_task_id
+        if null is not None and null not in self.entities:
+            raise StructuralError(f"missing null task {null!r}")
+        roots = self.roots
+        if null is not None and null not in roots:
+            roots += (null,)
+        for rid in roots:
             if rid not in self.entities:
                 raise StructuralError(f"missing root {rid!r}")
             if self.entities[rid].kind != KIND_TASK:
                 raise StructuralError(f"root {rid!r} is not a task")
             if rid in parents:
                 raise StructuralError(f"root {rid!r} also appears as a child")
-        if self.null_task_id is not None and self.null_task_id not in self.entities:
-            raise StructuralError(f"missing null task {self.null_task_id!r}")
-        # every non-root must be reachable exactly once (acyclicity)
+        # pre-order walk that reaches every non-root exactly once (acyclicity)
+        of_kind: dict[str, list[TaskEntity]] = {kind: [] for kind in KINDS}
+        null_subtree: set[str] = set()
         seen: set[str] = set()
-        stack = list(self.all_roots())
+        stack = list(reversed(roots))
         while stack:
             eid = stack.pop()
             if eid in seen:
                 raise StructuralError(f"cycle or shared subtree at {eid!r}")
             seen.add(eid)
-            stack.extend(self.entities[eid].children)
+            ent = self.entities[eid]
+            of_kind[ent.kind].append(ent)
+            if eid == null or parents.get(eid) in null_subtree:
+                null_subtree.add(eid)
+            stack.extend(reversed(ent.children))
         orphans = set(self.entities) - seen
         if orphans:
             raise StructuralError(f"orphaned entities: {sorted(orphans)}")
-
-    def all_roots(self) -> tuple[str, ...]:
-        if self.null_task_id is not None and self.null_task_id not in self.roots:
-            return self.roots + (self.null_task_id,)
-        return self.roots
+        self._of_kind = {kind: tuple(ents) for kind, ents in of_kind.items()}
+        self._null_subtree = frozenset(null_subtree)
 
     def entities_of_kind(self, kind: str) -> tuple[TaskEntity, ...]:
-        """Document order; the null task's subtree comes last."""
-        out = []
-
-        def walk(eid):
-            ent = self.entities[eid]
-            if ent.kind == kind:
-                out.append(ent)
-            for child in ent.children:
-                walk(child)
-
-        for rid in self.all_roots():
-            walk(rid)
-        return tuple(out)
+        """The entities of ``kind`` in document order."""
+        return self._of_kind.get(kind, ())
 
     def null_descendants(self) -> frozenset[str]:
-        if self.null_task_id is None:
-            return frozenset()
-        out: set[str] = set()
-        stack = [self.null_task_id]
-        while stack:
-            eid = stack.pop()
-            out.add(eid)
-            stack.extend(self.entities[eid].children)
-        return frozenset(out)
+        """Ids of the null task and everything under it."""
+        return self._null_subtree
 
 
 def cosine_matrix(primitives, entities) -> np.ndarray:

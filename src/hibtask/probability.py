@@ -239,11 +239,16 @@ def marginal(cond: CondTable, py: Dist) -> Dist:
     """Output marginal p(x) = sum_y P(x|y) p(y)."""
     if cond.n_cols != len(py):
         raise DimensionError(f"marginal: {cond.n_cols} columns vs |py| = {len(py)}")
-    v = cond.matrix @ py.values
+    return Dist(_marginal(cond.matrix, py.values), cond.row_labels)
+
+
+def _marginal(m: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """marginal on raw arrays."""
+    v = m @ w
     s = float(v.sum())
     if abs(s - 1.0) > RENORMALIZE_DRIFT:
         v = v / s
-    return Dist(v, cond.row_labels)
+    return v
 
 
 def bayes_invert(cond: CondTable, py: Dist, px: Dist | None = None) -> CondTable:

@@ -62,16 +62,6 @@ class SceneGraph:
     def layer_nodes(self, layer: int) -> list[SceneNode]:
         return [n for n in self.nodes.values() if n.layer == layer]
 
-    def descendants(self, node_id: str) -> set[str]:
-        out: set[str] = set()
-        stack = [node_id]
-        while stack:
-            for cid in self._child_ids.get(stack.pop(), ()):
-                if cid not in out:
-                    out.add(cid)
-                    stack.append(cid)
-        return out
-
     def alignment(self) -> dict[str, str]:
         """node id -> aligned entity id, for nodes above the primitive layer."""
         return {

@@ -36,6 +36,7 @@ from .probability import (
     CondTable,
     Dist,
     _bayes_matrix,
+    _marginal,
     _mutual_information,
     bayes_invert,
     kl_divergence_matrix,
@@ -219,11 +220,7 @@ class _Workspace:
         the ones that depend on the level-k encoder."""
         for j in range(k, self.problem.n + 1):
             enc, below = self.encoders[j - 1], self.marginals[j - 1]
-            v = enc @ below
-            s = float(v.sum())
-            if abs(s - 1.0) > 1e-12:
-                v = v / s
-            self.marginals[j] = v
+            v = self.marginals[j] = _marginal(enc, below)
             self.chain[j] = self.chain[j - 1] @ _bayes_matrix(enc, below, v)
             dec = self.tasks[j - 1] @ self.chain[j]
             dead = v <= 0

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 
@@ -333,10 +334,11 @@ class TestCliBuildGraph:
         pruned = files.load_graph(pruned_path)
         removed = set(full.nodes) - set(pruned.nodes)
         assert set(pruned.nodes) <= set(full.nodes)
-        # removed nodes form whole subtrees: any removed node's descendants
-        # are removed too
-        for nid in removed:
-            assert full.descendants(nid) <= removed
+        # removed nodes form whole subtrees: every node whose parent was
+        # removed is removed too
+        for node in full.nodes.values():
+            if node.parent in removed:
+                assert node.id in removed
 
     def test_empty_scene_empty_graph(self, fixtures_dir, tmp_path):
         solution = self._solve_tutorial(fixtures_dir, tmp_path)
@@ -443,49 +445,71 @@ class TestCliPipelineAndEval:
         assert code == 1
 
 
+@pytest.fixture(scope="module")
+def solution(fixtures_dir, tmp_path_factory):
+    """The tutorial solution, solved once for the whole module."""
+    out = tmp_path_factory.mktemp("solution")
+    assert main(["solve", str(fixtures_dir / "tutorial" / "problem.json"),
+                 "--out", str(out / "solution.json"),
+                 "--trace", str(out / "t.jsonl")]) == 0
+    return out / "solution.json"
+
+
+@pytest.fixture
+def inputs(fixtures_dir, solution):
+    """The fixture file of every input role of the four commands."""
+    tut, pipe, met = (fixtures_dir / d for d in ("tutorial", "pipeline", "metrics"))
+    return {
+        "problem": tut / "problem.json",
+        "solution": solution,
+        "tutorial_hierarchy": tut / "hierarchy.json",
+        "tutorial_scene": tut / "scene.json",
+        "scene": pipe / "scene.json",
+        "hierarchy": pipe / "hierarchy.json",
+        "word_bank": pipe / "word_bank.json",
+        "oracle": pipe / "oracle.json",
+        "graph": met / "hta_graph.json",
+        "metrics_hierarchy": met / "hta_hierarchy.json",
+        "reference": met / "hta_reference.json",
+    }
+
+
+def _argv(command, f, out):
+    """Arguments of ``command`` on the inputs ``f``, writing under ``out``."""
+    if command == "solve":
+        argv = ["solve", f["problem"], "--out", out / "o.json", "--trace", out / "t.jsonl"]
+    elif command == "build-graph":
+        argv = ["build-graph", f["solution"], f["tutorial_hierarchy"],
+                f["tutorial_scene"], "--out", out / "g.json"]
+    elif command == "pipeline":
+        argv = ["pipeline", f["scene"], f["hierarchy"], f["word_bank"],
+                f["oracle"], "--out-graph", out / "g.json",
+                "--out-hierarchy", out / "h.json", "--reports", out / "r.jsonl"]
+    else:
+        argv = ["eval", "--graph", f["graph"], "--hierarchy", f["metrics_hierarchy"],
+                "--reference", f["reference"]]
+    return [str(a) for a in argv]
+
+
+class TestCliGarbage:
+    """A command leaves no reference cycles behind for the cyclic collector."""
+
+    @pytest.mark.parametrize("command", ["solve", "build-graph", "pipeline", "eval"])
+    def test_second_call_leaves_no_cyclic_garbage(self, inputs, tmp_path, capsys, command):
+        argv = _argv(command, inputs, tmp_path)
+        assert main(argv) == 0
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert garbage == 0
+
+
 class TestCliMalformedFields:
     """A wrongly typed field exits 1 with ``error: <path>: <field>: ...``."""
-
-    @pytest.fixture(scope="class")
-    def solution(self, fixtures_dir, tmp_path_factory):
-        """The tutorial solution, solved once for the whole class."""
-        out = tmp_path_factory.mktemp("solution")
-        assert main(["solve", str(fixtures_dir / "tutorial" / "problem.json"),
-                     "--out", str(out / "solution.json"),
-                     "--trace", str(out / "t.jsonl")]) == 0
-        return out / "solution.json"
-
-    @pytest.fixture
-    def inputs(self, fixtures_dir, solution):
-        tut, pipe, met = (fixtures_dir / d for d in ("tutorial", "pipeline", "metrics"))
-        return {
-            "problem": tut / "problem.json",
-            "solution": solution,
-            "tutorial_hierarchy": tut / "hierarchy.json",
-            "tutorial_scene": tut / "scene.json",
-            "scene": pipe / "scene.json",
-            "hierarchy": pipe / "hierarchy.json",
-            "word_bank": pipe / "word_bank.json",
-            "oracle": pipe / "oracle.json",
-            "graph": met / "hta_graph.json",
-            "metrics_hierarchy": met / "hta_hierarchy.json",
-            "reference": met / "hta_reference.json",
-        }
-
-    @staticmethod
-    def _argv(command, f, out):
-        if command == "solve":
-            return ["solve", f["problem"], "--out", out / "o.json",
-                    "--trace", out / "t.jsonl"]
-        if command == "build-graph":
-            return ["build-graph", f["solution"], f["tutorial_hierarchy"],
-                    f["tutorial_scene"], "--out", out / "g.json"]
-        if command == "pipeline":
-            return ["pipeline", f["scene"], f["hierarchy"], f["word_bank"],
-                    f["oracle"], "--out-graph", out / "g.json",
-                    "--out-hierarchy", out / "h.json", "--reports", out / "r.jsonl"]
-        return ["eval", "--graph", f["graph"], "--hierarchy", f["metrics_hierarchy"],
-                "--reference", f["reference"]]
 
     @pytest.mark.parametrize(
         "command, role, field, value",
@@ -533,7 +557,7 @@ class TestCliMalformedFields:
         bad = tmp_path / f"bad_{role}.json"
         bad.write_text(json.dumps(payload))
         inputs[role] = bad
-        argv = [str(a) for a in self._argv(command, inputs, tmp_path)]
+        argv = _argv(command, inputs, tmp_path)
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}: {field}: ")
 
@@ -553,7 +577,7 @@ class TestCliMalformedFields:
         bad = tmp_path / f"bad_{role}.json"
         bad.write_text(json.dumps(payload))
         inputs[role] = bad
-        argv = [str(a) for a in self._argv(command, inputs, tmp_path)]
+        argv = _argv(command, inputs, tmp_path)
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}: {entries}[1].{key}: ")
 
@@ -605,6 +629,14 @@ class TestCliMalformedFields:
                  embedding=[i == 0 for i in range(len(p["words"][0]["embedding"]))])),
             ("eval", "graph", "nodes[0].layer",
              lambda p: p["nodes"][0].update(layer=2.9)),
+            # a parent that names no node; the parent check runs after all
+            # nodes are read, since a child may come before its parent
+            ("eval", "graph", "nodes[3].parent",
+             lambda p: p["nodes"][3].update(parent="nope")),
+            # the first task again, with its first subtask only
+            ("eval", "reference", "tasks[2].task",
+             lambda p: p["tasks"].append(
+                 {**p["tasks"][0], "subtasks": p["tasks"][0]["subtasks"][:1]})),
         ],
     )
     def test_nested_field_exits_one_naming_it(
@@ -615,7 +647,7 @@ class TestCliMalformedFields:
         bad = tmp_path / f"bad_{role}.json"
         bad.write_text(json.dumps(payload))
         inputs[role] = bad
-        argv = [str(a) for a in self._argv(command, inputs, tmp_path)]
+        argv = _argv(command, inputs, tmp_path)
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}: {field}: ")
 
@@ -630,11 +662,11 @@ class TestCliMalformedFields:
         ],
     )
     def test_non_finite_solver_flag_exits_one(self, inputs, tmp_path, capsys, command, flags):
-        argv = [str(a) for a in self._argv(command, inputs, tmp_path)]
+        argv = _argv(command, inputs, tmp_path)
         assert main(argv + flags) == 1
         assert capsys.readouterr().err.startswith(f"error: {flags[0][2:]} must be a finite number")
 
     def test_zero_max_iter_flag_exits_one(self, inputs, tmp_path, capsys):
-        argv = [str(a) for a in self._argv("solve", inputs, tmp_path)]
+        argv = _argv("solve", inputs, tmp_path)
         assert main(argv + ["--min-iter", "0", "--max-iter", "0"]) == 1
         assert capsys.readouterr().err == "error: max_iter must be at least 1\n"

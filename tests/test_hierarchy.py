@@ -84,6 +84,28 @@ class TestValidation:
         with pytest.raises(StructuralError):
             TaskHierarchy(ents, ("t",))
 
+    @pytest.mark.parametrize(
+        "roots, null, message",
+        [
+            (("t", "t"), None, "cycle or shared subtree at 't'"),
+            (("t",), "n", "missing null task 'n'"),
+            (("t", "n"), "n", "missing null task 'n'"),
+            (("t", "x"), None, "missing root 'x'"),
+            (("s",), None, "root 's' is not a task"),
+            (("t",), "s", "root 's' is not a task"),
+            ((), None, "orphaned entities: ['i', 's', 't']"),
+        ],
+    )
+    def test_root_and_reachability_errors(self, roots, null, message):
+        ents = {
+            "t": TaskEntity(id="t", kind="task", text="t", children=("s",)),
+            "s": TaskEntity(id="s", kind="subtask", text="s", children=("i",)),
+            "i": TaskEntity(id="i", kind="item", text="i"),
+        }
+        with pytest.raises(StructuralError) as err:
+            TaskHierarchy(ents, roots, null)
+        assert str(err.value) == message
+
     def test_zero_embedding_rejected(self):
         with pytest.raises(ValidationError):
             TaskEntity(id="i", kind="item", text="i", embedding=np.zeros(3))
@@ -105,6 +127,85 @@ class TestValidation:
             Spatial((0.0, bad, 0.0), 1.0)
         with pytest.raises(ValidationError, match="finite"):
             Spatial((0.0, 0.0, 0.0), bad)
+
+
+def _walked_of_kind(h, kind):
+    """Entities of ``kind`` by a recursive walk of the tree: the reference for
+    the document order that ``TaskHierarchy`` records at construction."""
+    roots = h.roots
+    if h.null_task_id is not None and h.null_task_id not in roots:
+        roots += (h.null_task_id,)
+    out = []
+
+    def walk(eid):
+        ent = h.entities[eid]
+        if ent.kind == kind:
+            out.append(ent)
+        for child in ent.children:
+            walk(child)
+
+    for rid in roots:
+        walk(rid)
+    return out
+
+
+def _walked_null_subtree(h):
+    if h.null_task_id is None:
+        return frozenset()
+    out, stack = set(), [h.null_task_id]
+    while stack:
+        eid = stack.pop()
+        out.add(eid)
+        stack.extend(h.entities[eid].children)
+    return frozenset(out)
+
+
+def _random_hierarchy(rng, null_place, children_first):
+    """A seeded tree of 1-4 tasks (plus a null task unless ``null_place`` is
+    "absent"), each with 0-3 subtasks of 0-3 items, children in random
+    order; listed children before parents when ``children_first``."""
+    def shuffled(ids):
+        return tuple(ids[k] for k in rng.permutation(len(ids)))
+
+    ents, roots = [], []
+    n_tasks = int(rng.integers(1, 5))
+    for t in range(n_tasks + (null_place != "absent")):
+        tid = "null" if t == n_tasks else f"t{t}"
+        subs = []
+        for s in range(int(rng.integers(0, 4))):
+            sid = f"{tid}.s{s}"
+            items = tuple(f"{sid}.i{i}" for i in range(int(rng.integers(0, 4))))
+            ents += [TaskEntity(id=i, kind="item", text=i) for i in items]
+            ents.append(TaskEntity(id=sid, kind="subtask", text=sid,
+                                   children=shuffled(items)))
+            subs.append(sid)
+        ents.append(TaskEntity(id=tid, kind="task", text=tid,
+                               children=shuffled(subs)))
+        if tid != "null":
+            roots.append(tid)
+    roots = list(shuffled(roots))
+    if null_place == "listed":
+        roots.insert(int(rng.integers(0, len(roots) + 1)), "null")
+    if not children_first:
+        ents.reverse()
+    null = None if null_place == "absent" else "null"
+    return TaskHierarchy({e.id: e for e in ents}, roots, null)
+
+
+class TestDocumentOrder:
+    @pytest.mark.parametrize("children_first", [False, True])
+    @pytest.mark.parametrize("null_place", ["appended", "listed", "absent"])
+    def test_matches_a_walk_of_the_tree(self, null_place, children_first):
+        rng = np.random.default_rng(24)
+        for _ in range(30):
+            h = _random_hierarchy(rng, null_place, children_first)
+            for kind in ("task", "subtask", "item"):
+                walked = _walked_of_kind(h, kind)
+                stored = h.entities_of_kind(kind)
+                assert [e.id for e in stored] == [e.id for e in walked]
+                assert all(a is b for a, b in zip(stored, walked))
+            assert h.entities_of_kind("scene") == ()
+            assert h.null_descendants() == _walked_null_subtree(h)
 
 
 class TestEmbeddingConditional:
