@@ -75,6 +75,7 @@ from .task_update import (
     TableOracle,
     WordBank,
     combine_conditionals,
+    pipeline_round,
     refine_hierarchy,
     run_pipeline,
     spatial_conditional,

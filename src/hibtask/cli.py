@@ -21,6 +21,7 @@ from .scene_graph import (
     LAYER_PRIMITIVE,
     SceneGraph,
     bottom_up_construct,
+    primitive_id,
     prune_primitives,
     top_down_prune,
 )
@@ -173,7 +174,7 @@ def _predictions(graph, hierarchy, grounded_only: bool):
                     continue
                 for prim in graph.children(item.id):
                     if prim.layer == LAYER_PRIMITIVE:
-                        prim_ids.append(prim.id.removeprefix("prim:"))
+                        prim_ids.append(primitive_id(prim))
                         boxes.append(prim.bbox)
             centroid = tuple(union_box(boxes).center) if boxes else None
             if grounded_only and not prim_ids:

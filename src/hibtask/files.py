@@ -500,6 +500,9 @@ def load_oracle(path) -> TableOracle:
     scores = {}
     for at, entry in _objects(path, "", payload, "scores", []):
         key = (_get(path, at, entry, "context", str), _get(path, at, entry, "item", str))
+        with _field(path, at):
+            if key in scores:
+                raise ValueError(f"duplicate (context, item) pair {key!r}")
         scores[key] = float(_get(path, at, entry, "score", float))
     proposals = {}
     for at, entry in _objects(path, "", payload, "proposals", []):
@@ -508,7 +511,7 @@ def load_oracle(path) -> TableOracle:
             with _field(path, f"{step_at}.items"):
                 items = _items(step["items"], str)
             steps.append((_get(path, step_at, step, "text", str), items))
-        proposals[_get(path, at, entry, "task", str)] = tuple(steps)
+        proposals[_unique(path, at, entry, "task", proposals)] = tuple(steps)
     return TableOracle(scores, proposals)
 
 

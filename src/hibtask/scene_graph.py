@@ -82,6 +82,11 @@ def _node_id(layer: int, cluster) -> str:
     return f"{LAYER_NAMES[layer]}:{cluster}"
 
 
+def primitive_id(node: SceneNode) -> str:
+    """The scene id of the primitive behind a primitive-layer node."""
+    return node.id.removeprefix(_node_id(LAYER_PRIMITIVE, ""))
+
+
 def bottom_up_construct(
     state: HibState, hierarchy: TaskHierarchy, primitives
 ) -> SceneGraph:
@@ -157,8 +162,8 @@ def bottom_up_construct(
     ).matrix
     for j, prim in enumerate(primitives):
         c = prim_cluster[prim.id]
-        nodes[f"prim:{prim.id}"] = SceneNode(
-            id=f"prim:{prim.id}",
+        nodes[_node_id(LAYER_PRIMITIVE, prim.id)] = SceneNode(
+            id=_node_id(LAYER_PRIMITIVE, prim.id),
             layer=LAYER_PRIMITIVE,
             cluster=None,
             entity_id=None,

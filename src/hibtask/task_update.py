@@ -33,8 +33,10 @@ from .hierarchy import (
 )
 from .probability import CondTable, Dist
 from .scene_graph import (
+    LAYER_PRIMITIVE,
     SceneGraph,
     bottom_up_construct,
+    primitive_id,
     prune_primitives,
     top_down_prune,
 )
@@ -394,13 +396,69 @@ def derive_problem(
     return HibProblem(prior, (p1, p2, p3))
 
 
-def _grounded_subtask_count(hierarchy: TaskHierarchy) -> int:
-    null_ids = hierarchy.null_descendants()
-    return sum(
-        1
-        for e in hierarchy.entities_of_kind(KIND_SUBTASK)
-        if e.spatial is not None and e.id not in null_ids
+def pipeline_round(
+    round_index: int,
+    primitives: list[Primitive],
+    hierarchy: TaskHierarchy,
+    word_bank: WordBank,
+    oracle: RefinementOracle,
+    opts: PipelineOptions,
+    carried: list[str],
+    previous: SceneGraph | None,
+) -> tuple[TaskHierarchy, SceneGraph, RoundReport, list[str]]:
+    """One pipeline round: select relevant primitives, solve the hierarchical
+    bottleneck, build and prune the scene graph, ground task entities, and
+    refine the hierarchy from word suggestions plus the ``carried`` words.
+
+    ``previous`` is the last round's graph; round 1 passes None and always
+    counts as an alignment change.  Returns (refined hierarchy, graph,
+    report, rejected words to carry into the next round)."""
+    selected = select_relevant_primitives(
+        primitives, hierarchy.entities_of_kind(KIND_ITEM), opts.relevance_threshold
     )
+    if not selected:
+        raise StructuralError(
+            f"round {round_index}: no primitive passes the relevance threshold"
+        )
+    try:
+        problem = derive_problem(hierarchy, selected, opts.temperature)
+        state, solve_report = solve_hib(problem, opts.solver)
+        full = bottom_up_construct(state, hierarchy, selected)
+        graph = prune_primitives(top_down_prune(full))
+    except DegenerateColumnError as exc:
+        raise DegenerateColumnError(
+            exc.level, exc.column, f"pipeline round {round_index}: {exc}"
+        ) from exc
+    except DimensionError as exc:
+        raise DimensionError(f"pipeline round {round_index}: {exc}") from exc
+    grounded = spatial_update(graph, hierarchy, primitives)
+
+    kept = {primitive_id(n) for n in graph.layer_nodes(LAYER_PRIMITIVE)}
+    unmatched = [p for p in selected if p.id not in kept]
+    query = sorted(set(suggest_words(unmatched, word_bank)) | set(carried))
+    refined = refine_hierarchy(grounded, query, oracle, opts.r_s, opts.r_t, word_bank)
+    accepted = {e.text for e in refined.entities_of_kind(KIND_ITEM)}
+    null_ids = refined.null_descendants()
+    changed = _hierarchy_fingerprint(refined) != _hierarchy_fingerprint(hierarchy)
+    realigned = previous is None or graph.alignment() != previous.alignment()
+    report = RoundReport(
+        round_index=round_index,
+        selected_primitives=len(selected),
+        solve=solve_report,
+        node_counts={  # enumerate gives the layer index
+            name: len(graph.layer_nodes(layer))
+            for layer, name in enumerate(("primitives", "items", "subtasks", "tasks"))
+        },
+        grounded_subtasks=sum(
+            e.spatial is not None and e.id not in null_ids
+            for e in refined.entities_of_kind(KIND_SUBTASK)
+        ),
+        suggestions=tuple(query),
+        hierarchy_changed=changed,
+        alignment_changed=realigned,
+    )
+    # rejected words join the next round's query
+    return refined, graph, report, [w for w in query if w not in accepted]
 
 
 def run_pipeline(
@@ -410,89 +468,21 @@ def run_pipeline(
     oracle: RefinementOracle,
     opts: PipelineOptions = PipelineOptions(),
 ):
-    """Alternate scene-hierarchy updates and task updates.
-
-    Each round selects relevant primitives, solves the hierarchical
-    bottleneck, builds and prunes the scene graph, grounds task entities,
-    and refines the hierarchy from word suggestions.  Stops early when a
-    round changes neither the hierarchy nor the graph alignment.
-
-    Returns (hierarchy, graph, reports).
-    """
+    """Alternate scene-hierarchy and task updates, one `pipeline_round` at a
+    time; stop early when a round changes neither the hierarchy nor the
+    graph alignment.  Returns (hierarchy, graph, reports)."""
     if hierarchy.null_task_id is None:
         raise StructuralError("pipeline requires a hierarchy with a null task")
     primitives = list(primitives)
-    graph = SceneGraph({})
+    graph = None
     reports: list[RoundReport] = []
     carried: list[str] = []
-    prev_alignment: dict[str, str] | None = None
     for round_index in range(1, opts.rounds + 1):
-        items = hierarchy.entities_of_kind(KIND_ITEM)
-        selected = select_relevant_primitives(
-            primitives, items, opts.relevance_threshold
+        hierarchy, graph, report, carried = pipeline_round(
+            round_index, primitives, hierarchy, word_bank, oracle, opts, carried, graph
         )
-        if not selected:
-            raise StructuralError(
-                f"round {round_index}: no primitive passes the relevance threshold"
-            )
-        try:
-            problem = derive_problem(hierarchy, selected, opts.temperature)
-            state, solve_report = solve_hib(problem, opts.solver)
-            full = bottom_up_construct(state, hierarchy, selected)
-            graph = prune_primitives(top_down_prune(full))
-        except DegenerateColumnError as exc:
-            raise DegenerateColumnError(
-                exc.level, exc.column, f"pipeline round {round_index}: {exc}"
-            ) from exc
-        except DimensionError as exc:
-            raise DimensionError(f"pipeline round {round_index}: {exc}") from exc
-        new_hierarchy = spatial_update(graph, hierarchy, primitives)
-
-        kept = {
-            n.id.removeprefix("prim:")
-            for n in graph.nodes.values()
-            if n.layer == 0
-        }
-        unmatched = [p for p in selected if p.id not in kept]
-        suggestions = suggest_words(unmatched, word_bank)
-        query = sorted(set(suggestions) | set(carried))
-        refined = refine_hierarchy(
-            new_hierarchy, query, oracle, opts.r_s, opts.r_t, word_bank
-        )
-        accepted = {
-            e.text for e in refined.entities_of_kind(KIND_ITEM)
-        }
-        # rejected words join the next round's query
-        carried = [w for w in query if w not in accepted]
-
-        alignment = graph.alignment()
-        hierarchy_changed = _hierarchy_fingerprint(refined) != _hierarchy_fingerprint(
-            hierarchy
-        )
-        alignment_changed = prev_alignment is None or alignment != prev_alignment
-        reports.append(
-            RoundReport(
-                round_index=round_index,
-                selected_primitives=len(selected),
-                solve=solve_report,
-                node_counts={
-                    name: len(graph.layer_nodes(layer))
-                    for layer, name in (
-                        (0, "primitives"),
-                        (1, "items"),
-                        (2, "subtasks"),
-                        (3, "tasks"),
-                    )
-                },
-                grounded_subtasks=_grounded_subtask_count(refined),
-                suggestions=tuple(query),
-                hierarchy_changed=hierarchy_changed,
-                alignment_changed=alignment_changed,
-            )
-        )
-        hierarchy = refined
-        prev_alignment = alignment
-        if not hierarchy_changed and not alignment_changed:
+        reports.append(report)
+        if not report.hierarchy_changed and not report.alignment_changed:
             break
     return hierarchy, graph, reports
 

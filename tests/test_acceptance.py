@@ -1,7 +1,7 @@
 """Acceptance suite: one test (or test group) per acceptance criterion, each
 printing a PASS/FAIL line.  Two sub-criteria are expected failures of the
-published update equations themselves; they are marked strict-xfail and the
-full analysis lives in the decisions ledger (see README)."""
+published update equations themselves; they are marked strict-xfail and
+README's "Known expected failures" section states why."""
 
 import json
 import math
@@ -149,7 +149,7 @@ class TestCriterion1TutorialGolden:
         reason="Published final P(S_U|S_O) duplicate-pair entries (0.51/0.49) "
         "are unreachable by the published update equations: every faithful "
         "schedule lands the pair at 0.521-0.525 within a one-parameter family "
-        "of equivalent fixed points.  See the decisions ledger.",
+        "of equivalent fixed points.  See README, 'Known expected failures'.",
     )
     def test_final_level2_encoder(self, tutorial_run):
         _, _, _, state, _, _ = tutorial_run
@@ -276,7 +276,7 @@ class TestCriterion3MonotoneConvergence:
         "update is not a joint descent method: on this suite 7/200 "
         "three-level instances increase, worst 1.4e-3.  With the printed "
         "decoder-first direction 51/200 increase (including single-level "
-        "instances), worst 1.8e-2.  See the decisions ledger.",
+        "instances), worst 1.8e-2.  See README, 'Known expected failures'.",
     )
     def test_traces_non_increasing(self, random_suite):
         runs, _ = random_suite

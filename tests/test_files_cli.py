@@ -637,6 +637,13 @@ class TestCliMalformedFields:
             ("eval", "reference", "tasks[2].task",
              lambda p: p["tasks"].append(
                  {**p["tasks"][0], "subtasks": p["tasks"][0]["subtasks"][:1]})),
+            # the first proposal again, with its first step only
+            ("pipeline", "oracle", "proposals[1].task",
+             lambda p: p["proposals"].append(
+                 {**p["proposals"][0], "steps": p["proposals"][0]["steps"][:1]})),
+            # the first (context, item) pair again, scored 0
+            ("pipeline", "oracle", "scores[3]",
+             lambda p: p["scores"].append({**p["scores"][0], "score": 0.0})),
         ],
     )
     def test_nested_field_exits_one_naming_it(

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hibtask import (
     CondTable,
@@ -11,6 +13,7 @@ from hibtask import (
     HibProblem,
     SolveOptions,
     ValidationError,
+    chain,
     derive_state,
     distortion,
     effective_cluster_count,
@@ -27,7 +30,7 @@ from hibtask import (
 )
 from hibtask import DISTORTION_DECODER_FIRST, DISTORTION_INPUT_FIRST
 from hibtask.solver import INIT_PERTURBED, _encoder_from_distortion, init_encoders
-from tests.conftest import random_problem
+from tests.conftest import random_cond, random_dist, random_problem
 
 
 def brute_force_objective(problem, state, beta):
@@ -254,6 +257,37 @@ class TestSolveHib:
         enc1 = state.encoders[0].matrix
         assert enc1[2, 2] == pytest.approx(0.5, abs=0.01)
         assert enc1[3, 3] == pytest.approx(0.5, abs=0.01)
+
+    # float slack of the data-processing checks: each mutual information is
+    # a sum of a few dozen rounded terms; the worst excess seen over the
+    # acceptance random suite was 2.1e-16
+    DPI_SLACK = 1e-12
+
+    @pytest.mark.parametrize(
+        "direction", [DISTORTION_DECODER_FIRST, DISTORTION_INPUT_FIRST]
+    )
+    @given(seed=st.integers(0, 2**32 - 1), beta=st.sampled_from([0.5, 10.0, 100.0]))
+    @settings(max_examples=20, deadline=None)
+    def test_levels_obey_data_processing_inequalities(self, direction, seed, beta):
+        """I(S_0;S_k) <= I(S_0;S_{k-1}) and I(T_k;S_k) <= I(T_k;S_0) on
+        small random three-level problems."""
+        rng = np.random.default_rng(seed)
+        m0 = int(rng.integers(2, 7))
+        prior = random_dist(rng, m0)
+        conds = tuple(random_cond(rng, int(rng.integers(2, 7)), m0) for _ in range(3))
+        state, _ = solve_hib(
+            HibProblem(prior, conds),
+            SolveOptions(beta=beta, max_iter=60, distortion=direction),
+        )
+        previous = float(entropy(prior))  # I(S_0;S_0)
+        path = None  # P(S_k | S_0)
+        for k, (enc, dec) in enumerate(zip(state.encoders, state.decoders)):
+            path = enc if path is None else chain(enc, path)
+            kept = mutual_information(path, prior)
+            assert kept <= previous + self.DPI_SLACK
+            task_info = mutual_information(dec, state.marginals[k + 1])
+            assert task_info <= mutual_information(conds[k], prior) + self.DPI_SLACK
+            previous = kept
 
     def test_oversized_cluster_budget_leaves_dead_clusters(self):
         # more clusters than inputs: the block-delta init leaves some empty,

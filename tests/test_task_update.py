@@ -7,17 +7,20 @@ from hibtask import (
     Box,
     CondTable,
     DegenerateColumnError,
+    DimensionError,
     Primitive,
     RefinementError,
     SceneGraph,
     SceneNode,
     Spatial,
+    StructuralError,
     TableOracle,
     TaskEntity,
     TaskHierarchy,
     ValidationError,
     WordBank,
     combine_conditionals,
+    pipeline_round,
     refine_hierarchy,
     run_pipeline,
     spatial_conditional,
@@ -364,6 +367,53 @@ class TestRunPipeline:
             run_pipeline(prims, hier, bank, oracle, PipelineOptions(temperature=0.15))
         assert "round 1" in str(err.value)
         assert err.value.level == 2 and err.value.column == 3
+
+    def test_solver_dimension_errors_carry_round_index(self, fixture_inputs, monkeypatch):
+        prims, hier, bank, oracle = fixture_inputs
+
+        def boom(problem, opts):
+            raise DimensionError("decoder 1 has 3 rows")
+
+        import hibtask.task_update as tu
+
+        monkeypatch.setattr(tu, "solve_hib", boom)
+        with pytest.raises(DimensionError) as err:
+            run_pipeline(prims, hier, bank, oracle, PipelineOptions(temperature=0.15))
+        assert str(err.value) == "pipeline round 1: decoder 1 has 3 rows"
+
+    def test_no_relevant_primitive_names_the_round(self, fixture_inputs):
+        _, hier, bank, oracle = fixture_inputs
+        with pytest.raises(StructuralError) as err:
+            run_pipeline([], hier, bank, oracle, PipelineOptions(temperature=0.15))
+        assert str(err.value) == "round 1: no primitive passes the relevance threshold"
+
+    def test_hierarchy_without_null_task_rejected(self, fixture_inputs):
+        prims, _, bank, oracle = fixture_inputs
+        with pytest.raises(StructuralError, match="null task"):
+            run_pipeline(prims, chain_hierarchy(), bank, oracle)
+
+    def test_rounds_by_hand_match_run_pipeline(self, fixture_inputs, tmp_path):
+        prims, hier, bank, oracle = fixture_inputs
+        opts = PipelineOptions(temperature=0.15)
+        want_h, want_g, want_reports = run_pipeline(prims, hier, bank, oracle, opts)
+
+        graph, carried, reports = None, [], []
+        for round_index in range(1, opts.rounds + 1):
+            hier, graph, report, carried = pipeline_round(
+                round_index, prims, hier, bank, oracle, opts, carried, graph
+            )
+            reports.append(report)
+            if not report.hierarchy_changed and not report.alignment_changed:
+                break
+
+        assert reports == want_reports
+        assert reports[0].alignment_changed
+        for name, (h, g) in {"hand": (hier, graph), "run": (want_h, want_g)}.items():
+            files.save_hierarchy(h, tmp_path / f"{name}_h.json")
+            files.save_graph(g, tmp_path / f"{name}_g.json")
+        for suffix in ("h", "g"):
+            hand = (tmp_path / f"hand_{suffix}.json").read_bytes()
+            assert hand == (tmp_path / f"run_{suffix}.json").read_bytes()
 
     def test_deterministic_outputs(self, fixture_inputs, tmp_path):
         prims, hier, bank, oracle = fixture_inputs
