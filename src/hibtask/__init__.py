@@ -62,7 +62,6 @@ from .solver import (
     effective_cluster_count,
     fixed_point_residual,
     objective,
-    solve_hdib,
     solve_hib,
     solve_ib,
     solve_ib_sequential,

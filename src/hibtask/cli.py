@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success (solve: converged), 1 input/parse/dimension errors,
-2 solve hit max_iter without converging, 3 degenerate encoder column.
+Exit codes: 0 success (solve: converged), 1 usage, input, parse or dimension
+errors, 2 solve hit max_iter without converging, 3 degenerate encoder column.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 
 from . import files
-from .errors import DegenerateColumnError, HibTaskError, ParseError
+from .errors import DegenerateColumnError, HibTaskError
 from .geometry import union_box
 from .hierarchy import KIND_TASK
 from .metrics import PredictedSubtask, grounding_accuracy, hta_metrics
@@ -31,7 +31,6 @@ from .solver import (
     INIT_KRONECKER,
     INIT_PERTURBED,
     SolveOptions,
-    solve_hdib,
     solve_hib,
 )
 from .task_update import PipelineOptions, run_pipeline
@@ -48,15 +47,18 @@ _DISTORTION_FLAGS = {
 }
 
 
+def _given(args, names) -> dict:
+    """The flags among ``names`` that were given, by destination name; the
+    parser holds no default of its own."""
+    given = {name: getattr(args, name) for name in names}
+    return {name: value for name, value in given.items() if value is not None}
+
+
 def _solver_options(args, file_options: SolveOptions | None) -> SolveOptions:
     """Explicit flags win, then the problem file's recorded options, then
     the package defaults."""
     opts = file_options or SolveOptions()
-    updates = {}
-    for name in ("beta", "alpha", "min_iter", "max_iter", "tol", "seed"):
-        value = getattr(args, name)
-        if value is not None:
-            updates[name] = value
+    updates = _given(args, ("beta", "alpha", "min_iter", "max_iter", "tol", "seed"))
     if args.init is not None:
         updates["init"] = _INIT_FLAGS[args.init]
     if args.distortion is not None:
@@ -77,11 +79,7 @@ def _write_jsonl(path, records):
 
 def _cmd_solve(args) -> int:
     problem, file_options = files.load_problem(args.problem)
-    opts = _solver_options(args, file_options)
-    if args.mode == "ib" and problem.n != 1:
-        raise ParseError(args.problem, "task_conditionals", "--mode ib needs n = 1")
-    solve = solve_hdib if args.mode == "hdib" else solve_hib
-    state, report = solve(problem, opts)
+    state, report = solve_hib(problem, _solver_options(args, file_options))
     files.save_solution(state, report, args.out)
     _write_jsonl(
         args.trace,
@@ -114,14 +112,9 @@ def _cmd_pipeline(args) -> int:
     hierarchy = files.load_hierarchy(args.hierarchy)
     bank = files.load_word_bank(args.word_bank)
     oracle = files.load_oracle(args.oracle)
-    solver = SolveOptions() if args.beta is None else SolveOptions(beta=args.beta)
     opts = PipelineOptions(
-        rounds=args.rounds,
-        relevance_threshold=args.threshold,
-        r_s=args.rs,
-        r_t=args.rt,
-        temperature=args.temperature,
-        solver=solver,
+        solver=SolveOptions(**_given(args, ("beta",))),
+        **_given(args, ("rounds", "relevance_threshold", "r_s", "r_t", "temperature")),
     )
     final_hierarchy, graph, reports = run_pipeline(
         primitives, hierarchy, bank, oracle, opts
@@ -199,8 +192,17 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits EXIT_INPUT: argparse's own 2 is EXIT_NOT_CONVERGED
+    here.  Subparsers are built from the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hibtask",
         description="Hierarchical information-bottleneck solvers and the "
         "task-driven scene-graph pipeline.",
@@ -209,9 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="run a solver on a problem file")
     solve.add_argument("problem")
-    solve.add_argument("--mode", choices=["hib", "hdib", "ib"], default="hib")
     solve.add_argument("--beta", type=float)
-    solve.add_argument("--alpha", type=float)
+    solve.add_argument("--alpha", type=float, help="1 soft bottleneck, 0 hard argmax")
     solve.add_argument("--min-iter", dest="min_iter", type=int)
     solve.add_argument("--max-iter", dest="max_iter", type=int)
     solve.add_argument("--tol", type=float)
@@ -242,16 +243,17 @@ def build_parser() -> argparse.ArgumentParser:
     pipe.add_argument("hierarchy")
     pipe.add_argument("word_bank")
     pipe.add_argument("oracle")
-    pipe.add_argument("--rounds", type=int, default=3)
-    pipe.add_argument("--rs", type=float, default=0.8)
-    pipe.add_argument("--rt", type=float, default=0.8)
+    pipe.add_argument("--rounds", type=int)
+    pipe.add_argument("--rs", dest="r_s", type=float)
+    pipe.add_argument("--rt", dest="r_t", type=float)
     pipe.add_argument("--beta", type=float)
     pipe.add_argument(
-        "--threshold", type=float, default=0.8, help="primitive relevance cut"
+        "--threshold",
+        dest="relevance_threshold",
+        type=float,
+        help="primitive relevance cut",
     )
-    pipe.add_argument(
-        "--temperature", type=float, default=1.0, help="item softmax temperature"
-    )
+    pipe.add_argument("--temperature", type=float, help="item softmax temperature")
     pipe.add_argument("--out-graph", required=True)
     pipe.add_argument("--out-hierarchy", required=True)
     pipe.add_argument("--reports", help="JSONL per-round reports (default stdout)")

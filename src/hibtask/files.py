@@ -45,7 +45,7 @@ from .metrics import ReferenceAnnotation, ReferenceSubtask
 from .probability import CondTable, Dist
 from .scene_graph import SceneGraph, SceneNode
 from .solver import HibProblem, HibState, SolveOptions, SolveReport
-from .task_update import TableOracle, WordBank
+from .task_update import TableOracle, WordBank, _unit_score
 
 
 _INDENT = "  "
@@ -503,7 +503,8 @@ def load_oracle(path) -> TableOracle:
         with _field(path, at):
             if key in scores:
                 raise ValueError(f"duplicate (context, item) pair {key!r}")
-        scores[key] = float(_get(path, at, entry, "score", float))
+        with _field(path, f"{at}.score"):
+            scores[key] = _unit_score(key, float(_get(path, at, entry, "score", float)))
     proposals = {}
     for at, entry in _objects(path, "", payload, "proposals", []):
         steps = []

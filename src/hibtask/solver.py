@@ -10,6 +10,11 @@ decoder refresh.  One outer iteration is a full bottom-up sweep over the
 levels; marginals, decoders and lifted task conditionals are always derived
 from the freshest encoder set.
 
+``solve_hib`` is the one solve loop and reads every ``SolveOptions`` field.
+``alpha`` weights the log prior in the encoder softmax (1/alpha) log p(s_k) -
+beta d: 1 is the soft hierarchical bottleneck, and 0 its deterministic limit,
+the argmax rule.  ``solve_ib`` is the same loop at one level.
+
 A solve keeps one workspace of raw arrays: the encoders, the marginals, the
 Bayes-inversion chain p(S_0 | S_j), the task conditionals and the decoders.
 After the level-k encoder update only the marginals, chain entries and
@@ -340,14 +345,12 @@ def _log_or_neginf(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _update_level(
-    ws: _Workspace, k: int, beta: float, alpha: float, direction: str
-) -> float:
+def _update_level(ws: _Workspace, k: int, opts: SolveOptions) -> float:
     """Replace the level-k encoder (1-based) by its closed-form update and
     refresh the levels >= k.  Returns the largest absolute encoder change."""
-    d = ws.distortion(k, direction)
+    d = ws.distortion(k, opts.distortion)
     log_prior = _log_or_neginf(ws.marginals[k])
-    new_enc = _encoder_from_distortion(log_prior, d, beta, alpha, k)
+    new_enc = _encoder_from_distortion(log_prior, d, opts.beta, opts.alpha, k)
     change = float(np.max(np.abs(new_enc - ws.encoders[k - 1])))
     ws.encoders[k - 1] = new_enc
     ws.refresh(k)
@@ -359,7 +362,7 @@ def update_level(
 ) -> HibState:
     """One encoder/marginal/decoder refresh at level k (1-based)."""
     ws = _Workspace(problem, state.encoders)
-    _update_level(ws, k, opts.beta, opts.alpha, opts.distortion)
+    _update_level(ws, k, opts)
     return ws.state()
 
 
@@ -381,7 +384,10 @@ def objective(problem: HibProblem, state: HibState, beta: float) -> float:
     )
 
 
-def _solve(problem: HibProblem, opts: SolveOptions, alpha: float):
+def solve_hib(problem: HibProblem, opts: SolveOptions = SolveOptions()):
+    """Run bottom-up sweeps until the objective decrease falls below tol;
+    at alpha = 0 every column goes to its argmax cluster (lowest index on
+    ties)."""
     ws = _Workspace(problem, init_encoders(problem, opts))
     prev_obj = ws.objective(opts.beta)
     trace: list[float] = []
@@ -390,10 +396,7 @@ def _solve(problem: HibProblem, opts: SolveOptions, alpha: float):
     iterations = 0
     for it in range(opts.max_iter):
         residuals.append(
-            max(
-                _update_level(ws, k, opts.beta, alpha, opts.distortion)
-                for k in range(1, problem.n + 1)
-            )
+            max(_update_level(ws, k, opts) for k in range(1, problem.n + 1))
         )
         obj = ws.objective(opts.beta)
         trace.append(obj)
@@ -406,17 +409,6 @@ def _solve(problem: HibProblem, opts: SolveOptions, alpha: float):
         tuple(trace), iterations, converged, residuals[-1], tuple(residuals)
     )
     return ws.state(), report
-
-
-def solve_hib(problem: HibProblem, opts: SolveOptions = SolveOptions()):
-    """Run bottom-up sweeps until the objective decrease falls below tol."""
-    return _solve(problem, opts, alpha=1.0)
-
-
-def solve_hdib(problem: HibProblem, opts: SolveOptions = SolveOptions()):
-    """Deterministic variant: alpha < 1 sharpens the prior weight, alpha = 0
-    assigns every column to its argmax cluster (lowest index on ties)."""
-    return _solve(problem, opts, alpha=opts.alpha)
 
 
 def solve_ib(
@@ -457,17 +449,13 @@ def solve_ib_sequential(problem: HibProblem, opts: SolveOptions = SolveOptions()
 
 
 def fixed_point_residual(
-    problem: HibProblem,
-    state: HibState,
-    beta: float,
-    alpha: float = 1.0,
-    direction: str = DISTORTION_DECODER_FIRST,
+    problem: HibProblem, state: HibState, opts: SolveOptions
 ) -> float:
     """Max absolute encoder change when the closed-form update is re-applied
     to a state, every level to the state as given; small values certify a
     self-consistent fixed point."""
     return max(
-        _update_level(_Workspace(problem, state.encoders), k, beta, alpha, direction)
+        _update_level(_Workspace(problem, state.encoders), k, opts)
         for k in range(1, problem.n + 1)
     )
 

@@ -66,12 +66,20 @@ class RefinementOracle(Protocol):
         ...
 
 
+def _unit_score(pair: tuple[str, str], score: float) -> float:
+    """``score`` if it lies in [0, 1] (NaN does not)."""
+    if not 0.0 <= score <= 1.0:
+        raise ValidationError(f"score {score!r} for {pair!r} outside [0, 1]")
+    return score
+
+
 @dataclass(frozen=True)
 class TableOracle:
     """Deterministic lookup-table oracle for tests and fixtures.
 
-    scores maps (context text, item text) to a relevance score, defaulting
-    to 0.  proposals maps a task text to the steps to add when asked.
+    scores maps (context text, item text) to a relevance score in [0, 1],
+    defaulting to 0.  proposals maps a task text to the steps to add when
+    asked.
     """
 
     scores: dict[tuple[str, str], float] = field(default_factory=dict)
@@ -79,17 +87,12 @@ class TableOracle:
         default_factory=dict
     )
 
+    def __post_init__(self):
+        for pair, score in self.scores.items():
+            _unit_score(pair, score)
+
     def score_items(self, context_text: str, item_texts: list[str]) -> list[float]:
-        out = []
-        for text in item_texts:
-            score = float(self.scores.get((context_text, text), 0.0))
-            if not 0.0 <= score <= 1.0:
-                raise RefinementError(
-                    f"score_items({context_text!r}, {text!r})",
-                    f"score {score!r} outside [0, 1]",
-                )
-            out.append(score)
-        return out
+        return [float(self.scores.get((context_text, t), 0.0)) for t in item_texts]
 
     def propose_subtasks(self, task_text: str, item_texts: list[str]):
         allowed = set(item_texts)
@@ -113,16 +116,14 @@ class WordBank:
         )
         if not entries:
             raise ValidationError("word bank cannot be empty")
-        words = [w for w, _ in entries]
-        if len(set(words)) != len(words):
+        by_word = dict(entries)
+        if len(by_word) != len(entries):
             raise ValidationError("word bank words must be unique")
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_by_word", by_word)
 
     def embedding_of(self, word: str) -> np.ndarray:
-        for w, e in self.entries:
-            if w == word:
-                return e
-        raise KeyError(word)
+        return self._by_word[word]
 
 
 def _scene_box(primitives):

@@ -6,6 +6,7 @@ README's "Known expected failures" section states why."""
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from hibtask import (
     objective,
     prune_primitives,
     run_pipeline,
-    solve_hdib,
     solve_hib,
     solve_ib,
     solve_ib_sequential,
@@ -37,7 +37,7 @@ from hibtask import (
 from hibtask.solver import INIT_PERTURBED, derive_state, init_encoders
 from hibtask.task_update import PipelineOptions
 from tests.conftest import random_problem
-from tests.test_solver import brute_force_objective
+from tests.test_solver import brute_force_objective, from_scratch_sweeps
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -329,15 +329,18 @@ def test_criterion_5_hdib_consistency():
     worst_obj = 0.0
     for _ in range(25):
         problem = random_problem(rng, max_dim=5)
+        # alpha = 1: the solve against as many sweeps of update_level
         opts1 = SolveOptions(beta=10.0, alpha=1.0)
-        a_state, a_report = solve_hdib(problem, opts1)
-        b_state, b_report = solve_hib(problem, opts1)
-        for x, y in zip(a_report.objective_trace, b_report.objective_trace):
+        a_state, a_report = solve_hib(problem, opts1)
+        b_state, b_trace = from_scratch_sweeps(
+            problem, replace(opts1, max_iter=a_report.iterations)
+        )
+        for x, y in zip(a_report.objective_trace, b_trace, strict=True):
             worst_match = max(worst_match, abs(x - y))
         for ea, eb in zip(a_state.encoders, b_state.encoders):
             worst_match = max(worst_match, float(np.abs(ea.matrix - eb.matrix).max()))
         opts0 = SolveOptions(beta=10.0, alpha=0.0)
-        h_state, h_report = solve_hdib(problem, opts0)
+        h_state, h_report = solve_hib(problem, opts0)
         for enc in h_state.encoders:
             assert np.all(np.isin(enc.matrix, (0.0, 1.0)))
         got = objective(problem, h_state, 10.0)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hibtask import HibProblem, ParseError, SolveOptions, files, solve_hib
-from hibtask.cli import main
+from hibtask.cli import _PARSER, main
 from tests.conftest import random_cond, random_dist
 
 
@@ -189,28 +189,6 @@ class TestCliSolve:
         assert records[0]["iteration"] == 1
         assert records[-1]["objective"] == report.objective_trace[-1]
 
-    def test_ib_mode_matches_hib_on_single_level(self, fixtures_dir, tmp_path):
-        problem = fixtures_dir / "sequential" / "easy_problem.json"
-        # restrict to one level for ib mode
-        import hibtask.files as F
-
-        p, opts = F.load_problem(problem)
-        single = tmp_path / "single.json"
-        from hibtask import HibProblem
-
-        F.save_problem(
-            HibProblem(p.prior, p.task_conditionals[:1], p.cluster_sizes[:1]),
-            single,
-            opts,
-        )
-        out_a = tmp_path / "a.json"
-        out_b = tmp_path / "b.json"
-        assert main(["solve", str(single), "--mode", "ib", "--out", str(out_a),
-                     "--trace", str(tmp_path / "ta.jsonl")]) == 0
-        assert main(["solve", str(single), "--mode", "hib", "--out", str(out_b),
-                     "--trace", str(tmp_path / "tb.jsonl")]) == 0
-        assert out_a.read_bytes() == out_b.read_bytes()
-
     def test_max_iter_one_exits_two_with_single_record(self, fixtures_dir, tmp_path):
         trace = tmp_path / "trace.jsonl"
         code = main(
@@ -232,14 +210,16 @@ class TestCliSolve:
         assert code == 2
         assert len(trace.read_text().splitlines()) == 1
 
-    def test_hdib_mode_alpha_zero_hard_assignments(self, fixtures_dir, tmp_path):
+    # the tutorial's soft solution splits two columns 0.5/0.5 at level 1
+    @pytest.mark.parametrize(
+        "problem", ["sequential/easy_problem.json", "tutorial/problem.json"]
+    )
+    def test_alpha_zero_hard_assignments(self, fixtures_dir, tmp_path, problem):
         out = tmp_path / "hd.json"
         code = main(
             [
                 "solve",
-                str(fixtures_dir / "sequential" / "easy_problem.json"),
-                "--mode",
-                "hdib",
+                str(fixtures_dir / problem),
                 "--alpha",
                 "0",
                 "--out",
@@ -252,6 +232,36 @@ class TestCliSolve:
         state, _ = files.load_solution(out)
         for enc in state.encoders:
             assert np.all(np.isin(enc.matrix, (0.0, 1.0)))
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["solve", "p.json", "--out", "o.json", "--bogus"], 1),
+            (["solve", "p.json", "--out", "o.json", "--mode", "hdib"], 1),
+            (["solve", "p.json"], 1),
+            (["pipeline", "s.json", "--rounds", "two"], 1),
+            (["no-such-command"], 1),
+            ([], 1),
+            (["--help"], 0),
+            (["solve", "--help"], 0),
+        ],
+    )
+    def test_usage_exit_codes(self, argv, code, capsys):
+        # a usage error exits 1: argparse's own 2 is the max-iteration stop
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == code
+        out = capsys.readouterr()
+        assert ("error: " in out.err) if code else out.out.startswith("usage: hibtask")
+
+    def test_pipeline_flags_default_to_pipeline_options(self):
+        # the parser keeps no default of its own: a flag left out is None,
+        # and PipelineOptions supplies the value
+        args = _PARSER.parse_args(
+            ["pipeline", "s", "h", "w", "o", "--out-graph", "g", "--out-hierarchy", "y"]
+        )
+        for name in ("rounds", "relevance_threshold", "r_s", "r_t", "temperature", "beta"):
+            assert getattr(args, name) is None
 
     def test_parse_error_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -641,6 +651,13 @@ class TestCliMalformedFields:
             ("pipeline", "oracle", "proposals[1].task",
              lambda p: p["proposals"].append(
                  {**p["proposals"][0], "steps": p["proposals"][0]["steps"][:1]})),
+            # scores outside [0, 1] on a pair that no round asks about
+            ("pipeline", "oracle", "scores[3].score",
+             lambda p: p["scores"].append(
+                 {"context": "never asked", "item": "nothing", "score": 7.5})),
+            ("pipeline", "oracle", "scores[3].score",
+             lambda p: p["scores"].append(
+                 {"context": "never asked", "item": "nothing", "score": math.nan})),
             # the first (context, item) pair again, scored 0
             ("pipeline", "oracle", "scores[3]",
              lambda p: p["scores"].append({**p["scores"][0], "score": 0.0})),

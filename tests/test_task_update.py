@@ -216,6 +216,23 @@ class TestSuggestWords:
         assert out == ["alpha"]
 
 
+class TestOracleAndBank:
+    @pytest.mark.parametrize("score", [7.5, -0.1, math.nan])
+    def test_out_of_range_score_rejected_at_construction(self, score):
+        # the pair is never asked for: the range check is made once, when
+        # the table is built, not on each score_items call
+        with pytest.raises(ValidationError, match=r"outside \[0, 1\]"):
+            TableOracle(scores={("never asked", "nothing"): score})
+
+    def test_embedding_of_looks_up_unique_words(self):
+        bank = WordBank((("cup", unit([1, 0])), ("plate", unit([0, 1]))))
+        assert bank.embedding_of("plate") is bank.entries[1][1]
+        with pytest.raises(KeyError):
+            bank.embedding_of("bowl")
+        with pytest.raises(ValidationError, match="unique"):
+            WordBank((("cup", unit([1, 0])), ("cup", unit([0, 1]))))
+
+
 class TestRefineHierarchy:
     def _bank(self):
         return WordBank((("cup", unit([1, 0])), ("plate", unit([0, 1]))))
